@@ -10,7 +10,14 @@ quadrature noise near the kink.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Defaults and constants shared by the solvers and the command line.
+DEFAULT_GRID = 2001
+DEFAULT_TOL = 1e-10
+SQRT2 = math.sqrt(2.0)
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:

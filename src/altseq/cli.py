@@ -15,24 +15,20 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from typing import Optional
 
 from . import finite, geometric, montecarlo
+from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
 from .policies import PolicyKind, PolicySpec
 from .sequence import permutation_moments
 
-DEFAULT_GRID = 2001
-DEFAULT_TOL = 1e-10
 DEFAULT_REPS = 100_000
 DEFAULT_SEED = 42
 
 #: compare solves the finite-optimal policy at most at this horizon; larger
 #: requested horizons are simulated at the cap and flagged in the output.
 FINITE_COMPARE_CAP = 1000
-
-SQRT2 = math.sqrt(2.0)
 
 
 def _round9(obj):
@@ -331,6 +327,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    n_finite = min(args.n, FINITE_COMPARE_CAP)
+    _check_table_budget(n_finite, args.grid)
     rows = []
     xi_star = 1.0 - 1.0 / SQRT2
     for label, xi in [
@@ -346,7 +344,6 @@ def cmd_compare(args) -> int:
         )
         result = montecarlo.run_fixed_horizon(cfg)
         rows.append(_sim_row(label, "fixed", args.n, args.reps, args.seed, result))
-    n_finite = min(args.n, FINITE_COMPARE_CAP)
     sol = finite.solve_finite(n_finite, args.grid)
     cfg = montecarlo.SimulationConfig(
         reps=args.reps,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bellman
-
-DEFAULT_GRID = 2001
+from ._bellman import DEFAULT_GRID
 
 
 def check_horizon(n: int) -> int:

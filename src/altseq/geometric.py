@@ -15,19 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import _bellman
-
-SQRT2 = math.sqrt(2.0)
-
-DEFAULT_GRID = 2001
-DEFAULT_TOL = 1e-10
+from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
 
 #: rho below which the raw threshold formula goes negative and is clamped to 0.
 FLAT_REGIME_RHO = 2.0 - SQRT2
+
+#: Earlier steps each Anderson step combines (Walker & Ni, SIAM J. Numer.
+#: Anal. 49(4), 2011).
+ANDERSON_DEPTH = 3
+#: A step whose residual exceeds the best one so far by this factor has gone
+#: astray. Accelerated flipped solves on grids of 11 to 2001 points, rho up
+#: to 0.9999, stay within 1.4 times their best residual.
+ASTRAY_FACTOR = 10.0
 
 
 class ConvergenceError(RuntimeError):
@@ -45,8 +49,10 @@ class ValueFunctionGrid:
     """Solved single-variable value function on a uniform grid.
 
     values is non-increasing with values[-1] = 0 and is flat (within solver
-    tolerance) on [0, xi_estimate]. residual is the sup-norm of the final
-    fixed-point update; iterations the number of operator applications.
+    tolerance) on [0, xi_estimate]. values = T(v) for the solver's last
+    iterate v, residual = sup|T(v) - v| and iterations is the number of
+    operator applications. error_bound = rho/(1-rho) * residual bounds the
+    sup-norm distance from values to the exact fixed point on the grid.
     """
 
     grid_size: int
@@ -55,6 +61,7 @@ class ValueFunctionGrid:
     xi_estimate: float
     residual: float
     iterations: int
+    error_bound: float
 
     def value_at(self, y) -> np.ndarray:
         return np.interp(y, self.ys, self.values)
@@ -62,7 +69,11 @@ class ValueFunctionGrid:
 
 @dataclass(frozen=True)
 class TwoStateSolution:
-    """Solved pair of value surfaces in original (last value, parity) coordinates."""
+    """Solved pair of value surfaces in original (last value, parity) coordinates.
+
+    residual, iterations and error_bound are as in ValueFunctionGrid, over
+    both surfaces.
+    """
 
     grid_size: int
     ys: np.ndarray
@@ -70,71 +81,142 @@ class TwoStateSolution:
     v_after_max: np.ndarray
     residual: float
     iterations: int
+    error_bound: float
 
 
 def _iteration_cap(rho: float, tol: float) -> int:
-    # Guaranteed by the contraction factor rho, starting from the zero
-    # function with sup-norm at most 1/(1-rho).
+    # Plain value iteration from the zero function reaches tol within this
+    # many sweeps (contraction factor rho, fixed point of sup-norm at most
+    # 1/(1-rho)); the accelerated solve is held to the same budget.
     v_max = 1.0 / (1.0 - rho)
-    return math.ceil(math.log(tol / v_max) / math.log(rho)) + 50
+    return max(0, math.ceil(math.log(tol / v_max) / math.log(rho))) + 50
+
+
+def _fixed_point(
+    apply: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    rho: float,
+    tol: float,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> tuple[np.ndarray, float, int]:
+    """Solve x = apply(x) for a rho-contraction apply, starting from x.
+
+    Every iteration makes exactly one call to apply. It steps along the
+    preconditioned residual g = (apply(x) - x) / precondition(x), which is
+    zero exactly at the fixed point, mixed with the last ANDERSON_DEPTH steps
+    by least squares (Anderson acceleration). project, if given, maps each
+    new iterate into a set known to hold the fixed point. A mixed step whose
+    residual exceeds ASTRAY_FACTOR times the best one, or is not a number,
+    sends the iteration back to the best iterate; from there it takes plain
+    steps x + g until the residual improves on the best, then mixes again.
+    The run stops with ConvergenceError after _iteration_cap iterations.
+
+    Returns (apply(x), sup|apply(x) - x|, iterations) for the first iterate
+    x whose residual is below tol; apply(x) then lies within
+    rho/(1-rho) * residual of the fixed point.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    cap = _iteration_cap(rho, tol)
+    best_residual, best_x, best_g = math.inf, x, None
+    xs: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
+    mixing = True
+    for iteration in range(1, cap + 1):
+        tx = apply(x)
+        diff = tx - x
+        residual = float(np.max(np.abs(diff)))
+        if residual < tol:
+            return tx, residual, iteration
+        g = diff if precondition is None else diff / precondition(x)
+        if residual < best_residual:
+            best_residual, best_x, best_g = residual, x, g
+            mixing = True
+        elif mixing and not residual <= ASTRAY_FACTOR * best_residual:
+            x, g = best_x, best_g
+            xs, gs = [], []
+            mixing = False
+        xs.append(x)
+        gs.append(g)
+        del xs[: -ANDERSON_DEPTH - 1], gs[: -ANDERSON_DEPTH - 1]
+        if mixing and len(xs) > 1:
+            dx = np.diff(xs, axis=0).T
+            dg = np.diff(gs, axis=0).T
+            gamma = np.linalg.lstsq(dg, g, rcond=None)[0]
+            x = x + g - (dx + dg) @ gamma
+        else:
+            x = x + g
+        if project is not None:
+            x = project(x)
+    raise ConvergenceError(
+        f"fixed-point solve at rho={rho} did not reach tol={tol} in {cap} iterations"
+    )
+
+
+def _nonnegative_non_increasing(v: np.ndarray) -> np.ndarray:
+    # The flipped value function lies in this set, and the operator's
+    # crossover search assumes a non-increasing argument; off this set
+    # accelerated iterates stall on coarse grids as rho -> 1.
+    return np.minimum.accumulate(np.maximum(v, 0.0))
 
 
 def solve_flipped(
     rho: float, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> ValueFunctionGrid:
-    """Value-iterate the single-variable equation from the zero function."""
+    """Solve the single-variable equation from the zero function.
+
+    The steps are preconditioned by the self-loop: a state y stays y, with
+    weight rho*f(y), whenever the observation falls below the acceptance
+    threshold f(y). Dividing the residual by 1 - rho*f(y) (a Jacobi
+    splitting; Puterman 1994, section 6.3.3) removes that term, whose part
+    of the spectrum piles up near rho as y -> 1, and leaves an operator
+    that Anderson acceleration solves in about twenty applications for any
+    rho up to 0.9999.
+    """
     rho = check_rho(rho)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     ys = _bellman.uniform_grid(grid_size)
-    v = np.zeros(grid_size)
-    cap = _iteration_cap(rho, tol)
-    for iteration in range(1, cap + 1):
-        v_next = _bellman.apply_flipped(v, ys, rho)
-        residual = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if residual < tol:
-            return ValueFunctionGrid(
-                grid_size=grid_size,
-                ys=ys,
-                values=v,
-                xi_estimate=_threshold_from_values(v, ys, rho),
-                residual=residual,
-                iterations=iteration,
-            )
-    raise ConvergenceError(
-        f"flipped solve at rho={rho} did not reach tol={tol} in {cap} iterations"
+    values, residual, iterations = _fixed_point(
+        lambda v: _bellman.apply_flipped(v, ys, rho),
+        np.zeros(grid_size),
+        rho,
+        tol,
+        precondition=lambda v: 1.0 - rho * _bellman.threshold_curve(v, ys, rho),
+        project=_nonnegative_non_increasing,
+    )
+    return ValueFunctionGrid(
+        grid_size=grid_size,
+        ys=ys,
+        values=values,
+        xi_estimate=_threshold_from_values(values, ys, rho),
+        residual=residual,
+        iterations=iterations,
+        error_bound=rho / (1.0 - rho) * residual,
     )
 
 
 def solve_two_state(
     rho: float, grid_size: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> TwoStateSolution:
-    """Value-iterate the original two-line equation from the zero functions."""
+    """Solve the original two-line equation from the zero functions."""
     rho = check_rho(rho)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     ys = _bellman.uniform_grid(grid_size)
-    v0 = np.zeros(grid_size)
-    v1 = np.zeros(grid_size)
-    cap = _iteration_cap(rho, tol)
-    for iteration in range(1, cap + 1):
-        n0, n1 = _bellman.apply_two_state(v0, v1, ys, rho)
-        residual = float(
-            max(np.max(np.abs(n0 - v0)), np.max(np.abs(n1 - v1)))
-        )
-        v0, v1 = n0, n1
-        if residual < tol:
-            return TwoStateSolution(
-                grid_size=grid_size,
-                ys=ys,
-                v_after_min=v0,
-                v_after_max=v1,
-                residual=residual,
-                iterations=iteration,
-            )
-    raise ConvergenceError(
-        f"two-state solve at rho={rho} did not reach tol={tol} in {cap} iterations"
+    values, residual, iterations = _fixed_point(
+        lambda v: np.concatenate(
+            _bellman.apply_two_state(v[:grid_size], v[grid_size:], ys, rho)
+        ),
+        np.zeros(2 * grid_size),
+        rho,
+        tol,
+    )
+    return TwoStateSolution(
+        grid_size=grid_size,
+        ys=ys,
+        v_after_min=values[:grid_size],
+        v_after_max=values[grid_size:],
+        residual=residual,
+        iterations=iterations,
+        error_bound=rho / (1.0 - rho) * residual,
     )
 
 
@@ -193,8 +275,8 @@ def value_closed(rho: float) -> float:
 
     Uses the threshold-form expression when the optimal threshold is
     positive, and the zero-threshold policy value otherwise; below
-    rho = 2 - sqrt(2) the two candidates differ and value iteration backs
-    the flat form (see value_threshold_form / value_flat_form for both).
+    rho = 2 - sqrt(2) the two candidates differ and the numeric solve
+    backs the flat form (see value_threshold_form / value_flat_form for both).
     """
     if xi0_closed(rho) > 0.0:
         return value_threshold_form(rho)

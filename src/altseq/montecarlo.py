@@ -66,7 +66,11 @@ class RunResult:
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     """The dedicated stream of one replicate: Philox keyed by (seed, rep)."""
-    return np.random.Generator(np.random.Philox(key=[seed, rep]))
+    # An explicit uint64 key: numpy reads a list holding a value of 2**63 or
+    # more as float64, which merges nearby seeds.
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
+    )
 
 
 def sample_horizon(rng: np.random.Generator, rho: float) -> int:

@@ -30,6 +30,7 @@ def test_geometric_json_fields(capsys):
     assert payload["iterations"] > 0
     assert payload["residual"] < 1e-10
     assert "value_candidates" not in payload
+    assert "error_bound" not in payload  # the default payload keeps its keys
 
 
 def test_geometric_flat_regime_reports_both_candidates(capsys):
@@ -223,3 +224,34 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli.geometric, "solve_flipped", boom)
     assert run_cli(capsys, "geometric", "--rho", "0.9")[0] == 3
+    monkeypatch.undo()
+    # the solver's own iteration cap, reached for real
+    monkeypatch.setattr(cli.geometric, "_iteration_cap", lambda rho, tol: 3)
+    assert run_cli(capsys, "geometric", "--rho", "0.9", "--grid", "101")[0] == 3
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_bad_tol_exits_2(capsys, tol):
+    code = main(["geometric", "--rho", "0.9", "--tol", tol])
+    assert code == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_tol_above_every_update_takes_one_step(capsys):
+    code, out = run_cli(capsys, "geometric", "--rho", "0.9", "--tol", "1e10", "--json")
+    assert code == 0
+    assert json.loads(out)["iterations"] == 1
+
+
+def test_compare_checks_table_budget_first(monkeypatch, capsys):
+    import altseq.cli as cli
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(cli.montecarlo, "run_fixed_horizon", allocate)
+    monkeypatch.setattr(cli.finite, "solve_finite", allocate)
+    # the finite-optimal row is solved at n = 1000: 1001 x 20000 cells per table
+    code = main(["compare", "--n", "5000", "--grid", "20000", "--reps", "10"])
+    assert code == 2
+    assert "too large" in capsys.readouterr().err

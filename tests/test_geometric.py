@@ -1,9 +1,11 @@
 """Geometric-horizon solvers against the closed forms and each other."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altseq import (
     closed_form_diagnostics,
@@ -126,6 +128,7 @@ def test_two_state_agrees_with_flipped():
     two = solve_two_state(0.8, grid_size=801, tol=1e-10)
     one = solve_flipped(0.8, grid_size=801, tol=1e-10)
     assert np.max(np.abs(two.v_after_min - one.values)) < 1e-7
+    assert two.error_bound == pytest.approx(4.0 * two.residual, rel=1e-12)
 
 
 def test_extract_threshold_examples():
@@ -204,3 +207,82 @@ def test_convergence_failure_raises(monkeypatch):
     monkeypatch.setattr(geo, "_iteration_cap", lambda rho, tol: 3)
     with pytest.raises(geo.ConvergenceError):
         solve_flipped(0.9, grid_size=101, tol=1e-10)
+
+
+def _value_iteration(rho, grid_size, tol):
+    """Plain value iteration from zero: the reference the accelerated solve must match."""
+    ys = _bellman.uniform_grid(grid_size)
+    v = np.zeros(grid_size)
+    while True:
+        v_next = _bellman.apply_flipped(v, ys, rho)
+        residual = np.max(np.abs(v_next - v))
+        v = v_next
+        if residual < tol:
+            return v
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.75, 0.9, 0.99])
+def test_accelerated_solve_agrees_with_value_iteration(rho):
+    tol = 1e-10
+    grid = solve_flipped(rho, grid_size=2001, tol=tol)
+    reference = _value_iteration(rho, 2001, tol)
+    # each result is within its own a-posteriori bound of the fixed point
+    bound = rho / (1 - rho) * tol + grid.error_bound
+    assert grid.error_bound == pytest.approx(rho / (1 - rho) * grid.residual, rel=1e-12)
+    assert np.max(np.abs(grid.values - reference)) <= bound + 1e-12 * reference[0]
+    assert grid.iterations < 30
+
+
+def test_rho_near_one_is_fast_and_matches_closed_forms():
+    rho = 0.9999
+    start = time.perf_counter()
+    grid = solve_flipped(rho)
+    assert time.perf_counter() - start < 1.0
+    assert grid.residual < 1e-10
+    # acceptance-gate tolerances
+    assert abs(grid.values[0] - value_closed(rho)) < 5e-3
+    assert abs(grid.xi_estimate - xi0_closed(rho)) < 2 / 2001
+
+
+@pytest.mark.parametrize("fault", [np.nan, 1e6])
+def test_fixed_point_recovers_from_a_step_gone_astray(fault):
+    import altseq.geometric as geo
+
+    rho, grid_size, tol = 0.99, 501, 1e-10
+    ys = _bellman.uniform_grid(grid_size)
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        out = _bellman.apply_flipped(v, ys, rho)
+        return out + fault if len(calls) == 6 else out
+
+    values, residual, iterations = geo._fixed_point(
+        apply,
+        np.zeros(grid_size),
+        rho,
+        tol,
+        precondition=lambda v: 1.0 - rho * _bellman.threshold_curve(v, ys, rho),
+        project=geo._nonnegative_non_increasing,
+    )
+    assert iterations == len(calls) > 6
+    assert residual < tol
+    reference = _value_iteration(rho, grid_size, tol)
+    bound = 2 * rho / (1 - rho) * tol
+    assert np.max(np.abs(values - reference)) <= bound + 1e-12 * reference[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=st.floats(min_value=0.0, max_value=0.9999, exclude_min=True),
+    grid_size=st.integers(min_value=11, max_value=401),
+)
+def test_solve_flipped_properties(rho, grid_size):
+    import altseq.geometric as geo
+
+    tol = 1e-10
+    grid = solve_flipped(rho, grid_size=grid_size, tol=tol)
+    assert np.all(np.diff(grid.values) <= 1e-12 * (1.0 + grid.values[0]))
+    assert grid.values[-1] == 0.0
+    assert grid.residual < tol
+    assert 1 <= grid.iterations <= geo._iteration_cap(rho, tol)

@@ -1,6 +1,7 @@
 """Simulation harness: determinism, stream hygiene, statistical agreement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ def test_replicate_streams_are_distinct():
     a = replicate_rng(42, 0).random(100)
     b = replicate_rng(42, 1).random(100)
     assert not np.any(a == b)
+
+
+def test_replicate_keys_span_the_full_u64_range():
+    # seeds at or above 2**63 once passed through float64: neighbours merged
+    # and 2**64 - 1 wrapped to key (0, rep) with a RuntimeWarning
+    assert not np.array_equal(
+        replicate_rng(2**63, 0).random(8), replicate_rng(2**63 + 1000, 0).random(8)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = replicate_rng(2**64 - 1, 3).random(8)
+    assert not np.array_equal(top, replicate_rng(0, 3).random(8))
+    # below 2**63 the streams are those of the original list key, bit for bit
+    for seed in (0, 42, 2**40, 2**63 - 1):
+        for rep in (0, 1, 99_999):
+            legacy = np.random.Generator(np.random.Philox(key=[seed, rep]))
+            assert np.array_equal(replicate_rng(seed, rep).random(8), legacy.random(8))
 
 
 def test_counts_not_kept_by_default():
