@@ -42,10 +42,6 @@ from .policies import (
     FixedThresholdPolicy,
     GeometricOptimalPolicy,
     Policy,
-    PolicyKind,
-    PolicySpec,
-    PolicyState,
-    make_policy,
     stationary_rate,
 )
 from .montecarlo import (
@@ -91,10 +87,6 @@ __all__ = [
     "FixedThresholdPolicy",
     "GeometricOptimalPolicy",
     "Policy",
-    "PolicyKind",
-    "PolicySpec",
-    "PolicyState",
-    "make_policy",
     "stationary_rate",
     "RunResult",
     "SimulationConfig",

@@ -20,7 +20,13 @@ from typing import Optional
 
 from . import finite, geometric, montecarlo
 from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
-from .policies import PolicyKind, PolicySpec
+from .policies import (
+    ConcatenatedPolicy,
+    FiniteOptimalPolicy,
+    FixedThresholdPolicy,
+    GeometricOptimalPolicy,
+    Policy,
+)
 from .sequence import permutation_moments
 
 DEFAULT_REPS = 100_000
@@ -91,48 +97,31 @@ def emit_rows_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _human_lines(payload: dict) -> str:
     rows = _flatten(_round9(payload))
     width = max(len(k) for k, _ in rows)
     return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
 
 
-def _deliver(payload: dict, args) -> None:
-    """Route a key/value style result per --json and --out."""
-    if args.out:
-        if args.out.endswith(".json"):
-            _write_output(emit_json(payload), args.out)
-        elif args.out.endswith(".csv"):
-            _write_output(emit_keyvalue_csv(payload), args.out)
-        else:
-            raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
-    elif args.json:
-        sys.stdout.write(emit_json(payload))
-    else:
-        sys.stdout.write(_human_lines(payload))
+def _deliver(payload: dict, args, rows: Optional[list[dict]] = None) -> None:
+    """Route a result per --json and --out; main has checked the --out suffix.
 
-
-def _deliver_rows(payload: dict, rows: list[dict], args) -> None:
-    """Route simulation rows: CSV keeps the fixed schema, JSON nests them."""
-    if args.out:
-        if args.out.endswith(".json"):
-            _write_output(emit_json(payload), args.out)
-        elif args.out.endswith(".csv"):
-            _write_output(emit_rows_csv(rows), args.out)
-        else:
-            raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
-    elif args.json:
-        sys.stdout.write(emit_json(payload))
+    Simulation results pass their rows: CSV keeps the fixed row schema and is
+    the default stdout form. Other results print as key/value lines or CSV.
+    """
+    if args.out.endswith(".json") if args.out else args.json:
+        text = emit_json(payload)
+    elif rows is not None:
+        text = emit_rows_csv(rows)
+    elif args.out:
+        text = emit_keyvalue_csv(payload)
     else:
-        sys.stdout.write(emit_rows_csv(rows))
+        text = _human_lines(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _rate(mean: float, horizon_kind: str, horizon_param: float) -> float:
@@ -246,8 +235,8 @@ def _check_table_budget(n: int, grid: int) -> None:
         )
 
 
-def _build_spec(args) -> tuple[PolicySpec, str, float, str]:
-    """Resolve --policy plus flags into (spec, horizon_kind, param, name)."""
+def _build_policy(args) -> tuple[Policy, str, float, str]:
+    """Resolve --policy plus flags into (policy, horizon_kind, param, name)."""
     name = args.policy
     if args.xi is not None and name != "threshold":
         raise ValueError(f"--xi only applies to --policy threshold, not {name}")
@@ -258,26 +247,20 @@ def _build_spec(args) -> tuple[PolicySpec, str, float, str]:
             )
         _check_table_budget(args.n, args.grid)
         sol = finite.solve_finite(args.n, args.grid)
-        return (
-            PolicySpec(PolicyKind.CONCATENATED, finite=sol),
-            "geometric",
-            args.rho,
-            f"concat(n={args.n})",
-        )
+        return ConcatenatedPolicy(sol), "geometric", args.rho, f"concat(n={args.n})"
     if name == "geometric-optimal":
         if args.rho is None:
             raise ValueError("geometric-optimal needs --rho")
-        spec = PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL, rho=args.rho)
+        policy = GeometricOptimalPolicy(args.rho)
         if args.n is not None:
-            return spec, "fixed", args.n, f"geometric-optimal(rho={args.rho})"
-        return spec, "geometric", args.rho, f"geometric-optimal(rho={args.rho})"
+            return policy, "fixed", args.n, f"geometric-optimal(rho={args.rho})"
+        return policy, "geometric", args.rho, f"geometric-optimal(rho={args.rho})"
     if name == "finite-optimal":
         if args.n is None or args.rho is not None:
             raise ValueError("finite-optimal needs --n and runs on fixed horizons")
         _check_table_budget(args.n, args.grid)
         sol = finite.solve_finite(args.n, args.grid)
-        spec = PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol)
-        return spec, "fixed", args.n, "finite-optimal"
+        return FiniteOptimalPolicy(sol), "fixed", args.n, "finite-optimal"
     if name == "threshold":
         if args.xi is None:
             raise ValueError("threshold needs --xi")
@@ -289,24 +272,24 @@ def _build_spec(args) -> tuple[PolicySpec, str, float, str]:
         xi, label = 0.5, "timid"
     else:
         raise ValueError(f"unknown policy {name!r}")
-    spec = PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=xi)
     if (args.n is None) == (args.rho is None):
         raise ValueError("give exactly one horizon: --n or --rho")
+    policy = FixedThresholdPolicy(xi)
     if args.n is not None:
-        return spec, "fixed", args.n, label
-    return spec, "geometric", args.rho, label
+        return policy, "fixed", args.n, label
+    return policy, "geometric", args.rho, label
 
 
 def cmd_simulate(args) -> int:
-    spec, horizon_kind, horizon_param, label = _build_spec(args)
+    policy, horizon_kind, horizon_param, label = _build_policy(args)
     if horizon_kind == "fixed":
         cfg = montecarlo.SimulationConfig(
-            reps=args.reps, seed=args.seed, policy=spec, n=int(horizon_param)
+            reps=args.reps, seed=args.seed, policy=policy, n=int(horizon_param)
         )
         result = montecarlo.run_fixed_horizon(cfg)
     else:
         cfg = montecarlo.SimulationConfig(
-            reps=args.reps, seed=args.seed, policy=spec, rho=horizon_param
+            reps=args.reps, seed=args.seed, policy=policy, rho=horizon_param
         )
         result = montecarlo.run_geometric_horizon(cfg)
     row = _sim_row(label, horizon_kind, horizon_param, args.reps, args.seed, result)
@@ -322,7 +305,7 @@ def cmd_simulate(args) -> int:
         },
         "result": row,
     }
-    _deliver_rows(payload, [row], args)
+    _deliver(payload, args, [row])
     return 0
 
 
@@ -339,7 +322,7 @@ def cmd_compare(args) -> int:
         cfg = montecarlo.SimulationConfig(
             reps=args.reps,
             seed=args.seed,
-            policy=PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=xi),
+            policy=FixedThresholdPolicy(xi),
             n=args.n,
         )
         result = montecarlo.run_fixed_horizon(cfg)
@@ -348,7 +331,7 @@ def cmd_compare(args) -> int:
     cfg = montecarlo.SimulationConfig(
         reps=args.reps,
         seed=args.seed,
-        policy=PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol),
+        policy=FiniteOptimalPolicy(sol),
         n=n_finite,
     )
     result = montecarlo.run_fixed_horizon(cfg)
@@ -367,7 +350,7 @@ def cmd_compare(args) -> int:
         },
         "rows": rows,
     }
-    _deliver_rows(payload, rows, args)
+    _deliver(payload, args, rows)
     return 0
 
 
@@ -432,11 +415,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.out and not args.out.endswith((".json", ".csv")):
+            raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
         return args.func(args)
     except geometric.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ than a single scalar per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -61,14 +62,22 @@ class FiniteSolution:
         return np.interp(y, self.ys, self.value_row(i))
 
 
+def _sweep(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield T^k(0) for k = 1..n: the value with k observations left."""
+    w = np.zeros(ys.size)
+    for _ in range(n):
+        w = _bellman.apply_flipped(w, ys, 1.0)
+        yield w
+
+
 def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     """Solve the n-stage problem; fills both value and threshold tables."""
     n = check_horizon(n)
     ys = _bellman.uniform_grid(grid_size)
     # remaining[k] = value with k observations left = T^k(0)
     remaining = np.zeros((n + 1, grid_size))
-    for k in range(1, n + 1):
-        remaining[k] = _bellman.apply_flipped(remaining[k - 1], ys, 1.0)
+    for k, w in enumerate(_sweep(n, ys), start=1):
+        remaining[k] = w
     value_table = remaining[::-1].copy()  # row i-1 = v[i,n] = T^(n-i+1)(0)
     threshold_table = np.empty((n, grid_size))
     for i in range(1, n + 1):
@@ -84,28 +93,14 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
 
 def optimal_expected(n: int, grid_size: int = DEFAULT_GRID) -> float:
     """Expected selections of the optimal policy: the stage-1 value at y = 0."""
-    n = check_horizon(n)
-    ys = _bellman.uniform_grid(grid_size)
-    w = np.zeros(grid_size)
-    for _ in range(n):
-        w = _bellman.apply_flipped(w, ys, 1.0)
-    return float(w[0])
+    return float(optimal_expected_curve(n, grid_size)[-1])
 
 
 def optimal_expected_curve(n_max: int, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """optimal_expected(n) for every n in 1..n_max from a single sweep.
-
-    Entry n-1 is bitwise equal to optimal_expected(n, grid_size): both apply
-    the identical operator sequence to the zero function.
-    """
+    """optimal_expected(n) for every n in 1..n_max from a single sweep."""
     n_max = check_horizon(n_max)
     ys = _bellman.uniform_grid(grid_size)
-    w = np.zeros(grid_size)
-    out = np.empty(n_max)
-    for k in range(n_max):
-        w = _bellman.apply_flipped(w, ys, 1.0)
-        out[k] = w[0]
-    return out
+    return np.array([w[0] for w in _sweep(n_max, ys)])
 
 
 def threshold_at(sol: FiniteSolution, i: int, y: float) -> float:

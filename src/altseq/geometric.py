@@ -114,10 +114,16 @@ def _fixed_point(
 
     Returns (apply(x), sup|apply(x) - x|, iterations) for the first iterate
     x whose residual is below tol; apply(x) then lies within
-    rho/(1-rho) * residual of the fixed point.
+    rho/(1-rho) * residual of the fixed point. A tol below 4*eps/(1-rho)
+    raises ValueError: values reach 1/(1-rho), so rounding alone keeps the
+    residual near eps/(1-rho) and such a run would only end at the cap.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    floor = 4.0 * np.finfo(float).eps / (1.0 - rho)
+    if not (math.isfinite(tol) and tol >= floor):
+        raise ValueError(
+            f"tol must be finite and at least 4*eps/(1-rho) = {floor:.3g} "
+            f"at rho={rho}, got {tol}"
+        )
     cap = _iteration_cap(rho, tol)
     best_residual, best_x, best_g = math.inf, x, None
     xs: list[np.ndarray] = []

@@ -17,13 +17,20 @@ import numpy as np
 
 from .geometric import check_rho
 from .finite import check_horizon
-from .policies import Policy, PolicyKind, PolicySpec, make_policy
+from .policies import ConcatenatedPolicy, FiniteOptimalPolicy, Policy
 from .sequence import longest_alternating
 
 #: Upper bound on replicates simulated per lockstep chunk.
 MAX_CHUNK = 8192
 #: Target observation-matrix size per chunk, in float64 elements.
 CHUNK_TARGET_ELEMENTS = 4_000_000
+
+
+def _check_run(reps: int, seed: int) -> None:
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -35,16 +42,13 @@ class SimulationConfig:
 
     reps: int
     seed: int
-    policy: Optional[PolicySpec] = None
+    policy: Policy
     n: Optional[int] = None
     rho: Optional[float] = None
     keep_counts: bool = False
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_run(self.reps, self.seed)
         if (self.n is None) == (self.rho is None):
             raise ValueError("exactly one of n or rho must be given")
         if self.n is not None:
@@ -113,21 +117,14 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     """Evaluate cfg.policy on n i.i.d. uniform observations per replicate."""
     if cfg.n is None:
         raise ValueError("run_fixed_horizon needs a fixed-horizon config")
-    if cfg.policy is None:
-        raise ValueError("run_fixed_horizon needs a policy")
-    if cfg.policy.kind is PolicyKind.CONCATENATED:
+    if isinstance(cfg.policy, ConcatenatedPolicy):
         raise ValueError(
             "the concatenated policy is exposed for geometric horizons only"
         )
-    if (
-        cfg.policy.kind is PolicyKind.FINITE_OPTIMAL
-        and cfg.policy.finite.n != cfg.n
-    ):
+    if isinstance(cfg.policy, FiniteOptimalPolicy) and cfg.policy.n != cfg.n:
         raise ValueError(
-            f"horizon/policy mismatch: config n={cfg.n}, "
-            f"solution n={cfg.policy.finite.n}"
+            f"horizon/policy mismatch: config n={cfg.n}, solution n={cfg.policy.n}"
         )
-    policy = make_policy(cfg.policy)
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = _fixed_chunk(cfg.n, cfg.reps)
     for lo in range(0, cfg.reps, chunk):
@@ -135,7 +132,7 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
         X = np.empty((hi - lo, cfg.n))
         for r in range(lo, hi):
             X[r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
-        counts[lo:hi] = _simulate_batch(policy, X)
+        counts[lo:hi] = _simulate_batch(cfg.policy, X)
     return _aggregate(counts, cfg.keep_counts)
 
 
@@ -147,14 +144,11 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     """
     if cfg.rho is None:
         raise ValueError("run_geometric_horizon needs a geometric-horizon config")
-    if cfg.policy is None:
-        raise ValueError("run_geometric_horizon needs a policy")
-    if cfg.policy.kind is PolicyKind.FINITE_OPTIMAL:
+    if isinstance(cfg.policy, FiniteOptimalPolicy):
         raise ValueError(
             "finite-optimal stage indices are undefined past the solution "
             "horizon; use a fixed-horizon run or the concatenated policy"
         )
-    policy = make_policy(cfg.policy)
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = min(cfg.reps, MAX_CHUNK)
     for lo in range(0, cfg.reps, chunk):
@@ -169,7 +163,7 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
         X = np.zeros((hi - lo, int(lengths.max())))
         for idx, row in enumerate(rows):
             X[idx, : lengths[idx]] = row
-        counts[lo:hi] = _simulate_batch(policy, X, lengths)
+        counts[lo:hi] = _simulate_batch(cfg.policy, X, lengths)
     return _aggregate(counts, cfg.keep_counts)
 
 
@@ -178,8 +172,7 @@ def run_offline(
 ) -> RunResult:
     """Full-knowledge baseline: the offline statistic on each replicate."""
     check_horizon(n)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_run(reps, seed)
     counts = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         # tolist keeps the scan in plain-float arithmetic, ~10x faster

@@ -1,16 +1,15 @@
 """Selection policies over the flipped-state recursion.
 
 Every policy sees the chain Y with Y[0] = 0, selects observation x in state
-y when x >= threshold(y), and then jumps to 1 - x; a skip leaves the state
-unchanged. A tie at the threshold selects. Policies are immutable after
-construction; per-replicate state lives in PolicyState (scalar path) or in a
-batch dict of arrays (vectorized path), so replicates never share state.
+y when x >= threshold(i, y), and then jumps to 1 - x; a skip leaves the
+state unchanged. A tie at the threshold selects. Policies are immutable
+after construction and advance a batch of replicates in lockstep; the
+per-replicate state lives in the dict of arrays that new_batch returns, so
+replicates never share state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -23,69 +22,29 @@ SEEK_LEVEL = 5.0 / 6.0
 REGEN_LEVEL = 1.0 / 6.0
 
 
-class PolicyKind(Enum):
-    FIXED_THRESHOLD = "fixed_threshold"
-    GEOMETRIC_OPTIMAL = "geometric_optimal"
-    FINITE_OPTIMAL = "finite_optimal"
-    CONCATENATED = "concatenated"
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Declarative policy description; exactly the fields its kind needs."""
-
-    kind: PolicyKind
-    xi: Optional[float] = None
-    rho: Optional[float] = None
-    finite: Optional[FiniteSolution] = None
-
-
-@dataclass(frozen=True)
-class PolicyState:
-    """Per-replicate simulation state.
-
-    block_pos is used by the concatenated policy only: 0 while seeking an
-    observation at or above 5/6, otherwise the 1-based position inside the
-    current block of n-2 stage-driven steps.
-    """
-
-    y: float = 0.0
-    selections: int = 0
-    block_pos: Optional[int] = None
-
-
 class Policy:
-    """Stateful decision procedure; subclasses define the threshold rule."""
+    """Batch decision procedure; subclasses define the threshold rule."""
 
-    def initial_state(self) -> PolicyState:
-        return PolicyState(y=0.0, selections=0)
-
-    def threshold(self, i: int, y: float) -> float:
+    def threshold(self, i: int, y):
+        """Acceptance threshold for observation i in state y (array or scalar)."""
         raise NotImplementedError
 
-    def step(self, state: PolicyState, i: int, x: float) -> tuple[bool, PolicyState]:
-        """Decide on observation i with value x; returns (selected, next state)."""
-        if x >= self.threshold(i, state.y):
-            return True, replace(state, y=1.0 - x, selections=state.selections + 1)
-        return False, state
-
-    # Vectorized path: one dict of state arrays for a batch of replicates,
-    # advanced in lockstep. Must produce the same decisions as step().
     def new_batch(self, size: int) -> dict:
         return {"y": np.zeros(size)}
 
     def step_batch(
         self, batch: dict, i: int, x: np.ndarray, active: Optional[np.ndarray] = None
     ) -> np.ndarray:
+        """Decide on observation i of every replicate; returns the selections.
+
+        Rows where active is False neither select nor change state.
+        """
         y = batch["y"]
-        sel = x >= self._threshold_array(i, y)
+        sel = x >= self.threshold(i, y)
         if active is not None:
             sel &= active
         np.copyto(y, 1.0 - x, where=sel)
         return sel
-
-    def _threshold_array(self, i: int, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 class FixedThresholdPolicy(Policy):
@@ -97,10 +56,7 @@ class FixedThresholdPolicy(Policy):
             raise ValueError(f"fixed threshold must lie in [0, 1/2], got {xi}")
         self.xi = float(xi)
 
-    def threshold(self, i: int, y: float) -> float:
-        return max(self.xi, y)
-
-    def _threshold_array(self, i: int, y: np.ndarray) -> np.ndarray:
+    def threshold(self, i: int, y):
         return np.maximum(self.xi, y)
 
 
@@ -119,17 +75,9 @@ class FiniteOptimalPolicy(Policy):
         self.solution = solution
         self.n = solution.n
 
-    def _check_stage(self, i: int) -> None:
+    def threshold(self, i: int, y):
         if not 1 <= i <= self.n:
             raise ValueError(f"step index {i} outside 1..{self.n}")
-
-    def threshold(self, i: int, y: float) -> float:
-        self._check_stage(i)
-        sol = self.solution
-        return float(np.interp(y, sol.ys, sol.threshold_table[i - 1]))
-
-    def _threshold_array(self, i: int, y: np.ndarray) -> np.ndarray:
-        self._check_stage(i)
         sol = self.solution
         return np.interp(y, sol.ys, sol.threshold_table[i - 1])
 
@@ -160,31 +108,10 @@ class ConcatenatedPolicy(Policy):
         self.solution = solution
         self.n = solution.n
 
-    def initial_state(self) -> PolicyState:
-        return PolicyState(y=0.0, selections=0, block_pos=0)
-
-    def step(self, state: PolicyState, i: int, x: float) -> tuple[bool, PolicyState]:
-        sol = self.solution
-        bp = state.block_pos or 0
-        if bp == 0:
-            if x >= SEEK_LEVEL:
-                return True, PolicyState(
-                    y=1.0 - x, selections=state.selections + 1, block_pos=1
-                )
-            return False, state
-        thr = float(np.interp(state.y, sol.ys, sol.threshold_table[bp - 1]))
-        selected = x >= thr
-        y = 1.0 - x if selected else state.y
-        bp += 1
-        if bp == self.n - 1:  # block of n-2 stage-driven steps is spent
-            bp = 1 if y <= REGEN_LEVEL else 0
-        return selected, PolicyState(
-            y=y,
-            selections=state.selections + (1 if selected else 0),
-            block_pos=bp,
-        )
-
     def new_batch(self, size: int) -> dict:
+        # block_pos is 0 while seeking an observation at or above 5/6, and
+        # otherwise the 1-based position inside the current block of n-2
+        # stage-driven steps.
         return {"y": np.zeros(size), "block_pos": np.zeros(size, dtype=np.int64)}
 
     def step_batch(
@@ -213,37 +140,6 @@ class ConcatenatedPolicy(Policy):
             bp[regen] = 1
             bp[spent & ~regen] = 0
         return sel
-
-
-def make_policy(spec: PolicySpec) -> Policy:
-    """Build the decision procedure a PolicySpec describes.
-
-    Raises ValueError for a malformed spec: a missing required field, or a
-    field its kind does not use.
-    """
-    provided = {
-        name
-        for name, value in (("xi", spec.xi), ("rho", spec.rho), ("finite", spec.finite))
-        if value is not None
-    }
-    required = {
-        PolicyKind.FIXED_THRESHOLD: {"xi"},
-        PolicyKind.GEOMETRIC_OPTIMAL: {"rho"},
-        PolicyKind.FINITE_OPTIMAL: {"finite"},
-        PolicyKind.CONCATENATED: {"finite"},
-    }[spec.kind]
-    if provided != required:
-        raise ValueError(
-            f"{spec.kind.value} spec needs exactly {sorted(required)}, "
-            f"got {sorted(provided) or 'nothing'}"
-        )
-    if spec.kind is PolicyKind.FIXED_THRESHOLD:
-        return FixedThresholdPolicy(spec.xi)
-    if spec.kind is PolicyKind.GEOMETRIC_OPTIMAL:
-        return GeometricOptimalPolicy(spec.rho)
-    if spec.kind is PolicyKind.FINITE_OPTIMAL:
-        return FiniteOptimalPolicy(spec.finite)
-    return ConcatenatedPolicy(spec.finite)
 
 
 def stationary_rate(xi: float) -> float:

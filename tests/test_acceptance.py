@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from altseq import (
-    PolicyKind,
-    PolicySpec,
+    FiniteOptimalPolicy,
+    FixedThresholdPolicy,
     SimulationConfig,
     closed_form_diagnostics,
     longest_alternating,
@@ -154,7 +154,7 @@ def test_criterion_07_monte_carlo_vs_dp():
     cfg = SimulationConfig(
         reps=100_000,
         seed=42,
-        policy=PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol),
+        policy=FiniteOptimalPolicy(sol),
         n=100,
     )
     res = run_fixed_horizon(cfg)
@@ -193,7 +193,7 @@ def test_criterion_09_rate_trichotomy():
         cfg = SimulationConfig(
             reps=reps,
             seed=seed,
-            policy=PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=xi),
+            policy=FixedThresholdPolicy(xi),
             n=n,
         )
         rates[label] = run_fixed_horizon(cfg).mean / n
@@ -239,7 +239,7 @@ def test_criterion_11_suboptimality_witness(sol_n50):
     cfg = SimulationConfig(
         reps=100_000,
         seed=42,
-        policy=PolicySpec(PolicyKind.CONCATENATED, finite=sol_n50),
+        policy=ConcatenatedPolicy(sol_n50),
         rho=rho,
     )
     res = run_geometric_horizon(cfg)

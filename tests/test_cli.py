@@ -189,12 +189,46 @@ def test_out_file_csv(tmp_path, capsys):
     assert {"config.n", "config.reps", "config.seed", "mean"} <= keys
 
 
-def test_out_extension_must_be_known(tmp_path, capsys):
+def test_out_extension_must_be_known(monkeypatch, tmp_path, capsys):
+    import altseq.cli as cli
+
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the --out check")
+
+    monkeypatch.setattr(cli.geometric, "solve_flipped", compute)
+    monkeypatch.setattr(cli.montecarlo, "run_fixed_horizon", compute)
     path = tmp_path / "result.txt"
     code, _ = run_cli(
         capsys, "geometric", "--rho", "0.7", "--grid", "301", "--out", str(path)
     )
     assert code == 2
+    code, _ = run_cli(
+        capsys, "simulate", "--policy", "greedy", "--n", "5", "--out", str(path)
+    )
+    assert code == 2
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometric", "--rho", "0.9", "--grid", "101", "--out", "{missing}/x.json"],
+        ["finite", "--n", "3", "--grid", "51", "--dump-tables", "{missing}/t.csv"],
+    ],
+    ids=["out", "dump-tables"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code = main([arg.format(missing=missing) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_offline_out_of_range_seed_exits_2(capsys, seed):
+    code = main(["offline", "--n", "10", "--reps", "5", "--seed", seed])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_offline_human_output_embeds_config(capsys):
@@ -230,7 +264,7 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
     assert run_cli(capsys, "geometric", "--rho", "0.9", "--grid", "101")[0] == 3
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1e-15"])
 def test_bad_tol_exits_2(capsys, tol):
     code = main(["geometric", "--rho", "0.9", "--tol", tol])
     assert code == 2

@@ -209,6 +209,14 @@ def test_convergence_failure_raises(monkeypatch):
         solve_flipped(0.9, grid_size=101, tol=1e-10)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.99, 0.9999])
+def test_tol_at_the_rounding_floor_converges(rho):
+    floor = 4 * np.finfo(float).eps / (1 - rho)
+    assert solve_flipped(rho, tol=floor).residual < floor
+    with pytest.raises(ValueError, match="4\\*eps"):
+        solve_flipped(rho, tol=floor / 2)
+
+
 def _value_iteration(rho, grid_size, tol):
     """Plain value iteration from zero: the reference the accelerated solve must match."""
     ys = _bellman.uniform_grid(grid_size)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from altseq import (
-    PolicyKind,
-    PolicySpec,
+    ConcatenatedPolicy,
+    FiniteOptimalPolicy,
+    FixedThresholdPolicy,
+    GeometricOptimalPolicy,
     SimulationConfig,
     optimal_expected,
     permutation_moments,
@@ -21,8 +23,8 @@ from altseq import (
     value_closed,
 )
 
-GREEDY = PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=0.0)
-TIMID = PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=0.5)
+GREEDY = FixedThresholdPolicy(0.0)
+TIMID = FixedThresholdPolicy(0.5)
 
 
 def test_config_validation(sol_n10):
@@ -39,18 +41,18 @@ def test_config_validation(sol_n10):
 
 
 def test_horizon_policy_mismatch(sol_n10):
-    spec = PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol_n10)
-    cfg = SimulationConfig(reps=10, seed=1, policy=spec, n=7)
+    policy = FiniteOptimalPolicy(sol_n10)
+    cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=7)
     with pytest.raises(ValueError):
         run_fixed_horizon(cfg)
-    cfg = SimulationConfig(reps=10, seed=1, policy=spec, rho=0.9)
+    cfg = SimulationConfig(reps=10, seed=1, policy=policy, rho=0.9)
     with pytest.raises(ValueError):
         run_geometric_horizon(cfg)
 
 
 def test_concatenated_is_geometric_only(sol_n10):
-    spec = PolicySpec(PolicyKind.CONCATENATED, finite=sol_n10)
-    cfg = SimulationConfig(reps=10, seed=1, policy=spec, n=50)
+    policy = ConcatenatedPolicy(sol_n10)
+    cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=50)
     with pytest.raises(ValueError):
         run_fixed_horizon(cfg)
 
@@ -156,8 +158,8 @@ def test_geometric_horizon_mean():
 
 
 def test_geometric_optimal_recovers_closed_value():
-    spec = PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL, rho=0.9)
-    cfg = SimulationConfig(reps=40_000, seed=42, policy=spec, rho=0.9)
+    policy = GeometricOptimalPolicy(0.9)
+    cfg = SimulationConfig(reps=40_000, seed=42, policy=policy, rho=0.9)
     res = run_geometric_horizon(cfg)
     assert abs(res.mean - value_closed(0.9)) < 3 * res.std_error
 
@@ -170,7 +172,7 @@ def test_fixed_threshold_value_matches_simulation():
     cfg = SimulationConfig(
         reps=40_000,
         seed=6,
-        policy=PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=xi),
+        policy=FixedThresholdPolicy(xi),
         rho=rho,
     )
     res = run_geometric_horizon(cfg)
@@ -180,8 +182,8 @@ def test_fixed_threshold_value_matches_simulation():
 def test_finite_optimal_small_horizon_against_dp():
     """n=5 with a million replicates against the DP value."""
     sol = solve_finite(5)
-    spec = PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol)
-    cfg = SimulationConfig(reps=1_000_000, seed=42, policy=spec, n=5)
+    policy = FiniteOptimalPolicy(sol)
+    cfg = SimulationConfig(reps=1_000_000, seed=42, policy=policy, n=5)
     res = run_fixed_horizon(cfg)
     dp = optimal_expected(5)
     assert (2 - math.sqrt(2)) * 5 <= dp <= (2 - math.sqrt(2)) * 5 + 5.3431
@@ -194,19 +196,19 @@ def test_no_policy_beats_finite_optimal(sol_n50):
         SimulationConfig(
             reps=reps,
             seed=seed,
-            policy=PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol_n50),
+            policy=FiniteOptimalPolicy(sol_n50),
             n=n,
         )
     )
     challengers = [
         GREEDY,
         TIMID,
-        PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=1 - 1 / math.sqrt(2)),
-        PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL, rho=0.95),
+        FixedThresholdPolicy(1 - 1 / math.sqrt(2)),
+        GeometricOptimalPolicy(0.95),
     ]
-    for spec in challengers:
+    for policy in challengers:
         res = run_fixed_horizon(
-            SimulationConfig(reps=reps, seed=seed, policy=spec, n=n)
+            SimulationConfig(reps=reps, seed=seed, policy=policy, n=n)
         )
         combined = math.sqrt(res.std_error**2 + best.std_error**2)
         assert res.mean <= best.mean + 3 * combined
@@ -219,7 +221,7 @@ def test_online_never_beats_offline():
         SimulationConfig(
             reps=reps,
             seed=seed,
-            policy=PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol),
+            policy=FiniteOptimalPolicy(sol),
             n=n,
         )
     )

@@ -4,17 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from altseq import (
     ConcatenatedPolicy,
     FiniteOptimalPolicy,
     FixedThresholdPolicy,
     GeometricOptimalPolicy,
-    PolicyKind,
-    PolicySpec,
-    PolicyState,
     is_alternating,
-    make_policy,
     stationary_rate,
     xi0_closed,
 )
@@ -23,15 +21,48 @@ from conftest import seeded_rng
 SQRT2 = math.sqrt(2.0)
 
 
+def scalar_step(policy, state, i, x):
+    """Reference decision on observation i with value x, one replicate at a time.
+
+    Written from the policy definitions, independently of step_batch. state
+    is (y, block_pos); block_pos matters to the concatenated policy only: 0
+    while seeking an observation at or above 5/6, otherwise the 1-based
+    position inside the current block of n-2 stage-driven steps. Returns
+    (selected, next state).
+    """
+    y, block_pos = state
+    if isinstance(policy, ConcatenatedPolicy):
+        if block_pos == 0:
+            return (True, (1.0 - x, 1)) if x >= 5 / 6 else (False, state)
+        sol = policy.solution
+        threshold = float(np.interp(y, sol.ys, sol.threshold_table[block_pos - 1]))
+        selected = x >= threshold
+        y = 1.0 - x if selected else y
+        block_pos += 1
+        if block_pos == policy.n - 1:  # block of n-2 stage-driven steps is spent
+            block_pos = 1 if y <= 1 / 6 else 0
+        return selected, (y, block_pos)
+    if isinstance(policy, FiniteOptimalPolicy):
+        if not 1 <= i <= policy.n:
+            raise ValueError(f"step index {i} outside 1..{policy.n}")
+        sol = policy.solution
+        threshold = float(np.interp(y, sol.ys, sol.threshold_table[i - 1]))
+    else:  # fixed threshold, including the geometric-optimal rule
+        threshold = max(policy.xi, y)
+    if x >= threshold:
+        return True, (1.0 - x, block_pos)
+    return False, state
+
+
 def scalar_counts(policy, X, lengths=None):
-    """Reference path: drive step() one observation at a time."""
+    """Reference path: drive scalar_step() one observation at a time."""
     out = []
     for r in range(X.shape[0]):
         horizon = X.shape[1] if lengths is None else int(lengths[r])
-        state = policy.initial_state()
+        state = (0.0, 0)
         count = 0
         for i in range(1, horizon + 1):
-            selected, state = policy.step(state, i, float(X[r, i - 1]))
+            selected, state = scalar_step(policy, state, i, float(X[r, i - 1]))
             count += selected
         out.append(count)
     return np.array(out)
@@ -43,50 +74,21 @@ def batch_counts(policy, X, lengths=None):
     return _simulate_batch(policy, X, lengths)
 
 
-def replay_raw_selection(policy, xs):
-    """Map the flipped-chain decisions back to raw alternating values."""
-    state = policy.initial_state()
-    raw = []
-    for i, x in enumerate(xs, start=1):
-        selected, state = policy.step(state, i, float(x))
-        if selected:
+def step_one(policy, batch, i, x):
+    """Batch step of a one-replicate batch; returns whether x was selected."""
+    return bool(policy.step_batch(batch, i, np.array([x]))[0])
+
+
+def replay_raw_selections(policy, X):
+    """Map each row's flipped-chain decisions back to raw alternating values."""
+    batch = policy.new_batch(X.shape[0])
+    raws = [[] for _ in range(X.shape[0])]
+    for i in range(1, X.shape[1] + 1):
+        for r in np.flatnonzero(policy.step_batch(batch, i, X[:, i - 1])):
+            x = float(X[r, i - 1])
             # odd selections are local minima (reflected), even are maxima
-            raw.append(1.0 - x if len(raw) % 2 == 0 else float(x))
-    return raw
-
-
-def test_make_policy_dispatch(sol_n10):
-    assert isinstance(
-        make_policy(PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=0.2)),
-        FixedThresholdPolicy,
-    )
-    assert isinstance(
-        make_policy(PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL, rho=0.9)),
-        GeometricOptimalPolicy,
-    )
-    assert isinstance(
-        make_policy(PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol_n10)),
-        FiniteOptimalPolicy,
-    )
-    assert isinstance(
-        make_policy(PolicySpec(PolicyKind.CONCATENATED, finite=sol_n10)),
-        ConcatenatedPolicy,
-    )
-
-
-def test_make_policy_rejects_malformed_specs(sol_n10):
-    bad = [
-        PolicySpec(PolicyKind.FIXED_THRESHOLD),                      # missing xi
-        PolicySpec(PolicyKind.FIXED_THRESHOLD, xi=0.2, rho=0.9),     # extra rho
-        PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL),                    # missing rho
-        PolicySpec(PolicyKind.GEOMETRIC_OPTIMAL, rho=0.9, finite=sol_n10),
-        PolicySpec(PolicyKind.FINITE_OPTIMAL),                       # missing table
-        PolicySpec(PolicyKind.FINITE_OPTIMAL, finite=sol_n10, xi=0.1),
-        PolicySpec(PolicyKind.CONCATENATED, xi=0.3),
-    ]
-    for spec in bad:
-        with pytest.raises(ValueError):
-            make_policy(spec)
+            raws[r].append(1.0 - x if len(raws[r]) % 2 == 0 else x)
+    return raws
 
 
 def test_fixed_threshold_validation():
@@ -98,47 +100,46 @@ def test_fixed_threshold_validation():
 
 def test_step_select_and_skip():
     policy = FixedThresholdPolicy(0.2)
-    state = PolicyState(y=0.3, selections=0)
-    selected, nxt = policy.step(state, 1, 0.8)
-    assert selected and nxt.y == pytest.approx(0.2) and nxt.selections == 1
-    selected, nxt = policy.step(state, 1, 0.25)
-    assert not selected and nxt.y == 0.3 and nxt.selections == 0
+    batch = policy.new_batch(2)
+    batch["y"][:] = 0.3
+    selected = policy.step_batch(batch, 1, np.array([0.8, 0.25]))
+    assert selected.tolist() == [True, False]
+    assert batch["y"][0] == pytest.approx(0.2) and batch["y"][1] == 0.3
 
 
 def test_tie_at_threshold_selects():
     policy = FixedThresholdPolicy(0.2)
-    state = policy.initial_state()
-    selected, nxt = policy.step(state, 1, 0.2)
-    assert selected and nxt.y == pytest.approx(0.8)
+    batch = policy.new_batch(1)
+    assert step_one(policy, batch, 1, 0.2)
+    assert batch["y"][0] == pytest.approx(0.8)
 
 
 def test_state_recursion_is_exact():
     policy = FixedThresholdPolicy(0.0)
     rng = seeded_rng(3)
-    state = policy.initial_state()
+    batch = policy.new_batch(1)
     for i in range(1, 200):
         x = float(rng.random())
-        before = state.y
-        selected, state = policy.step(state, i, x)
-        assert state.y == (1.0 - x if selected else before)
+        before = batch["y"][0]
+        selected = step_one(policy, batch, i, x)
+        assert batch["y"][0] == (1.0 - x if selected else before)
 
 
 def test_greedy_accepts_anything_feasible():
     policy = FixedThresholdPolicy(0.0)
-    state = policy.initial_state()
-    selected, state = policy.step(state, 1, 0.001)
-    assert selected  # y = 0 at the start, so any observation is feasible
-    assert state.y == pytest.approx(0.999)
-    selected, _ = policy.step(state, 2, 0.95)
-    assert not selected  # now infeasible until an observation clears 0.999
+    batch = policy.new_batch(1)
+    # y = 0 at the start, so any observation is feasible
+    assert step_one(policy, batch, 1, 0.001)
+    assert batch["y"][0] == pytest.approx(0.999)
+    # now infeasible until an observation clears 0.999
+    assert not step_one(policy, batch, 2, 0.95)
 
 
 def test_timid_is_half_threshold():
     policy = FixedThresholdPolicy(0.5)
-    state = policy.initial_state()
-    assert policy.threshold(1, state.y) == 0.5
-    selected, state = policy.step(state, 1, 0.49)
-    assert not selected
+    batch = policy.new_batch(1)
+    assert policy.threshold(1, batch["y"][0]) == 0.5
+    assert not step_one(policy, batch, 1, 0.49)
 
 
 def test_geometric_optimal_threshold():
@@ -146,26 +147,31 @@ def test_geometric_optimal_threshold():
     assert policy.xi == pytest.approx(0.246870, abs=1e-6)
     assert policy.threshold(1, 0.0) == pytest.approx(xi0_closed(0.9))
     assert policy.threshold(1, 0.7) == pytest.approx(0.7)
+    assert np.array_equal(
+        policy.threshold(1, np.array([0.0, 0.7])), [policy.xi, 0.7]
+    )
 
 
 def test_finite_optimal_stage_bounds(sol_n10):
     policy = FiniteOptimalPolicy(sol_n10)
-    state = policy.initial_state()
+    batch = policy.new_batch(1)
     with pytest.raises(ValueError):
-        policy.step(state, 0, 0.5)
+        step_one(policy, batch, 0, 0.5)
     with pytest.raises(ValueError):
-        policy.step(state, 11, 0.5)
+        step_one(policy, batch, 11, 0.5)
 
 
 def test_finite_optimal_thresholds_match_solution(sol_n10):
     from altseq import threshold_at
 
     policy = FiniteOptimalPolicy(sol_n10)
+    ys = np.array([0.0, 0.21, 0.68])
     for i in (1, 4, 10):
-        for y in (0.0, 0.21, 0.68):
-            assert policy.threshold(i, y) == pytest.approx(
-                threshold_at(sol_n10, i, y), abs=1e-9
-            )
+        curve = policy.threshold(i, ys)
+        for y, batch_value in zip(ys, curve):
+            expected = threshold_at(sol_n10, i, y)
+            assert policy.threshold(i, y) == pytest.approx(expected, abs=1e-9)
+            assert batch_value == pytest.approx(expected, abs=1e-9)
 
 
 def test_concatenated_requires_three_stages(sol_n3):
@@ -186,33 +192,47 @@ def test_selected_subsequences_alternate(sol_n10):
         ConcatenatedPolicy(sol_n10),
     ]
     for policy in policies:
-        for _ in range(30):
-            raw = replay_raw_selection(policy, rng.random(200))
+        for raw in replay_raw_selections(policy, rng.random((30, 200))):
             assert is_alternating(raw)
             assert len(raw) >= 1
     finite_policy = FiniteOptimalPolicy(sol_n10)
-    for _ in range(200):
-        raw = replay_raw_selection(finite_policy, rng.random(10))
+    for raw in replay_raw_selections(finite_policy, rng.random((200, 10))):
         assert is_alternating(raw)
 
 
-def test_batch_path_matches_scalar_path(sol_n10):
-    rng = seeded_rng(17)
-    X = rng.random((40, 10))
-    policies = [
-        FixedThresholdPolicy(0.0),
-        FixedThresholdPolicy(0.3),
-        GeometricOptimalPolicy(0.85),
-        FiniteOptimalPolicy(sol_n10),
-        ConcatenatedPolicy(sol_n10),
-    ]
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=40),
+    horizon=st.integers(min_value=3, max_value=12),
+    ragged=st.booleans(),
+    xi=st.floats(min_value=0.0, max_value=0.5),
+    rho=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+@example(seed=17, rows=40, horizon=10, ragged=False, xi=0.0, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=False, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=True, xi=0.0, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=True, xi=0.3, rho=0.85)
+def test_batch_path_matches_scalar_path(
+    sol_n3, sol_n10, seed, rows, horizon, ragged, xi, rho
+):
+    rng = seeded_rng(seed)
+    X = rng.random((rows, horizon))
+    # ragged horizons, as the geometric runner pads them
+    lengths = rng.integers(1, horizon + 1, size=rows) if ragged else None
+    policies = [FixedThresholdPolicy(xi), GeometricOptimalPolicy(rho)]
+    policies += [ConcatenatedPolicy(sol_n3), ConcatenatedPolicy(sol_n10)]
     for policy in policies:
-        assert np.array_equal(batch_counts(policy, X), scalar_counts(policy, X))
-    # ragged horizons (geometric-style), threshold and concat policies only
-    lengths = rng.integers(1, 11, size=40)
-    for policy in policies[:3] + [policies[4]]:
         assert np.array_equal(
             batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
+        )
+    # finite-optimal stages run 1..n: at most the solution's horizon
+    for sol in (sol_n3, sol_n10):
+        policy = FiniteOptimalPolicy(sol)
+        Xn = X[:, : sol.n]
+        ln = None if lengths is None else np.minimum(lengths, sol.n)
+        assert np.array_equal(
+            batch_counts(policy, Xn, ln), scalar_counts(policy, Xn, ln)
         )
 
 
@@ -239,24 +259,25 @@ def test_stationary_rate_argmax():
 def concat_regenerations(policy, rng, cycles):
     """Drive the policy and log (tau, y) at each regeneration after the first."""
     n = policy.n
-    state = policy.initial_state()
+    batch = policy.new_batch(1)
+    block_pos = batch["block_pos"]
     taus, regen_ys = [], []
     seek_steps = 0
     past_first_block = False
     while len(regen_ys) < cycles:
-        prev_bp = state.block_pos
-        _, state = policy.step(state, 1, float(rng.random()))
+        prev_bp = int(block_pos[0])
+        policy.step_batch(batch, 1, rng.random(1))
         if prev_bp == 0:
             seek_steps += 1
-            if state.block_pos == 1:  # seek ended with a selection
+            if block_pos[0] == 1:  # seek ended with a selection
                 if past_first_block:
                     taus.append(seek_steps)
-                    regen_ys.append(state.y)
+                    regen_ys.append(batch["y"][0])
                 past_first_block = True
                 seek_steps = 0
-        elif prev_bp == n - 2 and state.block_pos == 1:
+        elif prev_bp == n - 2 and block_pos[0] == 1:
             taus.append(0)  # immediate regeneration
-            regen_ys.append(state.y)
+            regen_ys.append(batch["y"][0])
             seek_steps = 0
     return np.array(taus), np.array(regen_ys)
 
