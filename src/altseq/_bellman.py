@@ -79,15 +79,18 @@ def first_point_at_least(
     return np.where(targets > g[-1], 1.0, out)
 
 
-def apply_flipped(values: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
+def apply_flipped(
+    values: np.ndarray, ys: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
     """One application of the single-variable operator
 
         (Tw)(y) = rho*y*w(y) + int_y^1 max{rho*w(y), 1 + rho*w(1-x)} dx.
 
     After x -> 1-x the integral runs over [0, 1-y] with the non-increasing
     integrand g(u) = 1 + rho*w(u), so max{c, g} equals g up to the crossover
-    and c after it. Exact for the piecewise-linear interpolant of w; rho=1
-    gives one finite-horizon backward-induction stage.
+    u* and c after it. Exact for the piecewise-linear interpolant of w; rho=1
+    gives one finite-horizon backward-induction stage. Returns (Tw, f): the
+    same crossover gives the acceptance threshold f(y) = max(y, 1 - u*).
     """
     step = ys[1] - ys[0]
     g = 1.0 + rho * values
@@ -96,7 +99,8 @@ def apply_flipped(values: np.ndarray, ys: np.ndarray, rho: float) -> np.ndarray:
     crossover = last_point_at_least(g, ys, step, c)
     upper = 1.0 - ys
     m = np.minimum(crossover, upper)
-    return rho * ys * values + integral_to(G, g, ys, step, m) + (upper - m) * c
+    tw = rho * ys * values + integral_to(G, g, ys, step, m) + (upper - m) * c
+    return tw, np.maximum(ys, 1.0 - crossover)
 
 
 def apply_two_state(
@@ -137,10 +141,10 @@ def apply_two_state(
 def threshold_curve(
     next_values: np.ndarray, ys: np.ndarray, rho: float = 1.0
 ) -> np.ndarray:
-    """Acceptance threshold at every grid point, given the next-stage values.
+    """Acceptance threshold at each grid point; the reference for apply_flipped's f.
 
-    f(y) = inf{x in [y, 1] : rho*w(y) <= 1 + rho*w(1-x)}. Since w is
-    non-increasing the condition set is [x_root, 1] with
+    f(y) = inf{x in [y, 1] : rho*w(y) <= 1 + rho*w(1-x)} for the next-stage
+    values w. Since w is non-increasing the condition set is [x_root, 1] with
     x_root = 1 - max{u : w(u) >= w(y) - 1/rho}, hence f(y) = max(y, x_root).
     The set is never empty (the condition always holds at x = 1).
     """

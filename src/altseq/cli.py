@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Optional
 
@@ -104,7 +105,7 @@ def _human_lines(payload: dict) -> str:
 
 
 def _deliver(payload: dict, args, rows: Optional[list[dict]] = None) -> None:
-    """Route a result per --json and --out; main has checked the --out suffix.
+    """Route a result per --json and --out; main has checked the --out path.
 
     Simulation results pass their rows: CSV keeps the fixed row schema and is
     the default stdout form. Other results print as key/value lines or CSV.
@@ -124,13 +125,10 @@ def _deliver(payload: dict, args, rows: Optional[list[dict]] = None) -> None:
         sys.stdout.write(text)
 
 
-def _rate(mean: float, horizon_kind: str, horizon_param: float) -> float:
-    if horizon_kind == "fixed":
-        return mean / horizon_param
-    return mean * (1.0 - horizon_param)
-
-
 def _sim_row(name, horizon_kind, horizon_param, reps, seed, result) -> dict:
+    rate = result.mean / horizon_param if horizon_kind == "fixed" else (
+        result.mean * (1.0 - horizon_param)
+    )
     return {
         "policy": name,
         "horizon_kind": horizon_kind,
@@ -140,7 +138,7 @@ def _sim_row(name, horizon_kind, horizon_param, reps, seed, result) -> dict:
         "mean": result.mean,
         "variance": result.variance,
         "std_error": result.std_error,
-        "rate": _rate(result.mean, horizon_kind, horizon_param),
+        "rate": rate,
     }
 
 
@@ -218,12 +216,8 @@ def _dump_tables(sol, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["stage", "y", "value", "threshold"])
         for i in range(1, sol.n + 1):
-            values = sol.value_table[i - 1]
-            thresholds = sol.threshold_table[i - 1]
-            for y, v, t in zip(sol.ys, values, thresholds):
-                writer.writerow(
-                    [i, f"{y:.9g}", f"{v:.9g}", f"{t:.9g}"]
-                )
+            for y, v, t in zip(sol.ys, sol.value_row(i), sol.threshold_row(i)):
+                writer.writerow([i, f"{y:.9g}", f"{v:.9g}", f"{t:.9g}"])
 
 
 def _check_table_budget(n: int, grid: int) -> None:
@@ -283,15 +277,13 @@ def _build_policy(args) -> tuple[Policy, str, float, str]:
 def cmd_simulate(args) -> int:
     policy, horizon_kind, horizon_param, label = _build_policy(args)
     if horizon_kind == "fixed":
-        cfg = montecarlo.SimulationConfig(
-            reps=args.reps, seed=args.seed, policy=policy, n=int(horizon_param)
-        )
-        result = montecarlo.run_fixed_horizon(cfg)
+        run, horizon = montecarlo.run_fixed_horizon, {"n": int(horizon_param)}
     else:
-        cfg = montecarlo.SimulationConfig(
-            reps=args.reps, seed=args.seed, policy=policy, rho=horizon_param
-        )
-        result = montecarlo.run_geometric_horizon(cfg)
+        run, horizon = montecarlo.run_geometric_horizon, {"rho": horizon_param}
+    cfg = montecarlo.SimulationConfig(
+        reps=args.reps, seed=args.seed, policy=policy, **horizon
+    )
+    result = run(cfg)
     row = _sim_row(label, horizon_kind, horizon_param, args.reps, args.seed, result)
     payload = {
         "command": "simulate",
@@ -312,33 +304,24 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
     _check_table_budget(n_finite, args.grid)
-    rows = []
     xi_star = 1.0 - 1.0 / SQRT2
-    for label, xi in [
-        ("greedy", 0.0),
-        ("timid", 0.5),
-        (f"threshold({xi_star:.6f})", xi_star),
-    ]:
-        cfg = montecarlo.SimulationConfig(
-            reps=args.reps,
-            seed=args.seed,
-            policy=FixedThresholdPolicy(xi),
-            n=args.n,
-        )
-        result = montecarlo.run_fixed_horizon(cfg)
-        rows.append(_sim_row(label, "fixed", args.n, args.reps, args.seed, result))
-    sol = finite.solve_finite(n_finite, args.grid)
-    cfg = montecarlo.SimulationConfig(
-        reps=args.reps,
-        seed=args.seed,
-        policy=FiniteOptimalPolicy(sol),
-        n=n_finite,
-    )
-    result = montecarlo.run_fixed_horizon(cfg)
     finite_label = "finite-optimal" if n_finite == args.n else (
         f"finite-optimal(reduced n={n_finite})"
     )
-    rows.append(_sim_row(finite_label, "fixed", n_finite, args.reps, args.seed, result))
+    rows = []
+    for label, policy, n in [
+        ("greedy", FixedThresholdPolicy(0.0), args.n),
+        ("timid", FixedThresholdPolicy(0.5), args.n),
+        (f"threshold({xi_star:.6f})", FixedThresholdPolicy(xi_star), args.n),
+        (finite_label, None, n_finite),
+    ]:
+        if policy is None:  # solved last: its tables are not held during the others
+            policy = FiniteOptimalPolicy(finite.solve_finite(n, args.grid))
+        cfg = montecarlo.SimulationConfig(
+            reps=args.reps, seed=args.seed, policy=policy, n=n
+        )
+        result = montecarlo.run_fixed_horizon(cfg)
+        rows.append(_sim_row(label, "fixed", n, args.reps, args.seed, result))
     payload = {
         "command": "compare",
         "config": {
@@ -408,6 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    # Open every output path for appending before the command runs: an
+    # unwritable path fails at once, an existing file is not truncated, and
+    # a file created here is removed again if the command fails.
+    paths = [p for p in (args.out, getattr(args, "dump_tables", None)) if p]
+    created = [p for p in paths if not os.path.exists(p)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        return args.func(args)
+    except BaseException:
+        for path in filter(os.path.exists, created):
+            os.remove(path)
+        raise
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -417,7 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.out and not args.out.endswith((".json", ".csv")):
             raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
-        return args.func(args)
+        return _run(args)
     except geometric.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,8 @@ The single-variable recursion, solved from the terminal stage down, is
 with v[n+1] identically 0. The operator does not depend on the stage, so
 v[i] for horizon n equals the (n - i + 1)-fold application of the rho=1
 Bellman operator to zero; one upward sweep therefore prices every remaining
-horizon at once. Unlike the geometric case the value rows are not flat on an
+horizon at once, and each application also returns the threshold of the
+stage it prices. Unlike the geometric case the value rows are not flat on an
 initial segment, so thresholds are stored as full per-stage curves rather
 than a single scalar per stage.
 """
@@ -62,26 +63,22 @@ class FiniteSolution:
         return np.interp(y, self.ys, self.value_row(i))
 
 
-def _sweep(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield T^k(0) for k = 1..n: the value with k observations left."""
+def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (T^k(0), f_k), k = 1..n: value and threshold, k observations left."""
     w = np.zeros(ys.size)
     for _ in range(n):
-        w = _bellman.apply_flipped(w, ys, 1.0)
-        yield w
+        w, f = _bellman.apply_flipped(w, ys, 1.0)
+        yield w, f
 
 
 def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
-    """Solve the n-stage problem; fills both value and threshold tables."""
+    """Solve the n-stage problem; one sweep fills both tables."""
     n = check_horizon(n)
     ys = _bellman.uniform_grid(grid_size)
-    # remaining[k] = value with k observations left = T^k(0)
-    remaining = np.zeros((n + 1, grid_size))
-    for k, w in enumerate(_sweep(n, ys), start=1):
-        remaining[k] = w
-    value_table = remaining[::-1].copy()  # row i-1 = v[i,n] = T^(n-i+1)(0)
+    value_table = np.zeros((n + 1, grid_size))
     threshold_table = np.empty((n, grid_size))
-    for i in range(1, n + 1):
-        threshold_table[i - 1] = _bellman.threshold_curve(remaining[n - i], ys)
+    for k, (w, f) in enumerate(_sweep(n, ys), start=1):  # stage n - k + 1
+        value_table[n - k], threshold_table[n - k] = w, f
     return FiniteSolution(
         n=n,
         grid_size=grid_size,
@@ -100,7 +97,7 @@ def optimal_expected_curve(n_max: int, grid_size: int = DEFAULT_GRID) -> np.ndar
     """optimal_expected(n) for every n in 1..n_max from a single sweep."""
     n_max = check_horizon(n_max)
     ys = _bellman.uniform_grid(grid_size)
-    return np.array([w[0] for w in _sweep(n_max, ys)])
+    return np.array([w[0] for w, _ in _sweep(n_max, ys)])
 
 
 def threshold_at(sol: FiniteSolution, i: int, y: float) -> float:

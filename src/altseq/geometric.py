@@ -93,30 +93,30 @@ def _iteration_cap(rho: float, tol: float) -> int:
 
 
 def _fixed_point(
-    apply: Callable[[np.ndarray], np.ndarray],
+    apply: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | float]],
     x: np.ndarray,
     rho: float,
     tol: float,
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, float, int]:
-    """Solve x = apply(x) for a rho-contraction apply, starting from x.
+    """Solve x = T(x) for a rho-contraction T, starting from x.
 
-    Every iteration makes exactly one call to apply. It steps along the
-    preconditioned residual g = (apply(x) - x) / precondition(x), which is
-    zero exactly at the fixed point, mixed with the last ANDERSON_DEPTH steps
-    by least squares (Anderson acceleration). project, if given, maps each
-    new iterate into a set known to hold the fixed point. A mixed step whose
-    residual exceeds ASTRAY_FACTOR times the best one, or is not a number,
-    sends the iteration back to the best iterate; from there it takes plain
-    steps x + g until the residual improves on the best, then mixes again.
-    The run stops with ConvergenceError after _iteration_cap iterations.
+    Every iteration makes exactly one call apply(x) = (T(x), d(x)), where
+    d > 0 is a diagonal preconditioner (1.0 for none). It steps along
+    g = (T(x) - x) / d(x), which is zero exactly at the fixed point, mixed
+    with the last ANDERSON_DEPTH steps by least squares (Anderson
+    acceleration). project, if given, maps each new iterate into a set
+    known to hold the fixed point. A mixed step whose residual exceeds
+    ASTRAY_FACTOR times the best one, or is not a number, sends the
+    iteration back to the best iterate; from there it takes plain steps
+    x + g until the residual improves on the best, then mixes again. The
+    run stops with ConvergenceError after _iteration_cap iterations.
 
-    Returns (apply(x), sup|apply(x) - x|, iterations) for the first iterate
-    x whose residual is below tol; apply(x) then lies within
-    rho/(1-rho) * residual of the fixed point. A tol below 4*eps/(1-rho)
-    raises ValueError: values reach 1/(1-rho), so rounding alone keeps the
-    residual near eps/(1-rho) and such a run would only end at the cap.
+    Returns (T(x), sup|T(x) - x|, iterations) for the first iterate x whose
+    residual is below tol; T(x) then lies within rho/(1-rho) * residual of
+    the fixed point. A tol below 4*eps/(1-rho) raises ValueError: values
+    reach 1/(1-rho), so rounding alone keeps the residual near eps/(1-rho)
+    and such a run would only end at the cap.
     """
     floor = 4.0 * np.finfo(float).eps / (1.0 - rho)
     if not (math.isfinite(tol) and tol >= floor):
@@ -130,12 +130,12 @@ def _fixed_point(
     gs: list[np.ndarray] = []
     mixing = True
     for iteration in range(1, cap + 1):
-        tx = apply(x)
+        tx, d = apply(x)
         diff = tx - x
         residual = float(np.max(np.abs(diff)))
         if residual < tol:
             return tx, residual, iteration
-        g = diff if precondition is None else diff / precondition(x)
+        g = diff / d
         if residual < best_residual:
             best_residual, best_x, best_g = residual, x, g
             mixing = True
@@ -174,21 +174,21 @@ def solve_flipped(
 
     The steps are preconditioned by the self-loop: a state y stays y, with
     weight rho*f(y), whenever the observation falls below the acceptance
-    threshold f(y). Dividing the residual by 1 - rho*f(y) (a Jacobi
-    splitting; Puterman 1994, section 6.3.3) removes that term, whose part
-    of the spectrum piles up near rho as y -> 1, and leaves an operator
-    that Anderson acceleration solves in about twenty applications for any
-    rho up to 0.9999.
+    threshold f(y), which apply_flipped returns with T(v). Dividing the
+    residual by 1 - rho*f(y) (a Jacobi splitting; Puterman 1994, section
+    6.3.3) removes that term, whose part of the spectrum piles up near rho
+    as y -> 1, and leaves an operator that Anderson acceleration solves in
+    about twenty applications for any rho up to 0.9999.
     """
     rho = check_rho(rho)
     ys = _bellman.uniform_grid(grid_size)
+
+    def apply(v):
+        tv, f = _bellman.apply_flipped(v, ys, rho)
+        return tv, 1.0 - rho * f
+
     values, residual, iterations = _fixed_point(
-        lambda v: _bellman.apply_flipped(v, ys, rho),
-        np.zeros(grid_size),
-        rho,
-        tol,
-        precondition=lambda v: 1.0 - rho * _bellman.threshold_curve(v, ys, rho),
-        project=_nonnegative_non_increasing,
+        apply, np.zeros(grid_size), rho, tol, project=_nonnegative_non_increasing
     )
     return ValueFunctionGrid(
         grid_size=grid_size,
@@ -207,13 +207,13 @@ def solve_two_state(
     """Solve the original two-line equation from the zero functions."""
     rho = check_rho(rho)
     ys = _bellman.uniform_grid(grid_size)
+
+    def apply(v):
+        pair = _bellman.apply_two_state(v[:grid_size], v[grid_size:], ys, rho)
+        return np.concatenate(pair), 1.0
+
     values, residual, iterations = _fixed_point(
-        lambda v: np.concatenate(
-            _bellman.apply_two_state(v[:grid_size], v[grid_size:], ys, rho)
-        ),
-        np.zeros(2 * grid_size),
-        rho,
-        tol,
+        apply, np.zeros(2 * grid_size), rho, tol
     )
     return TwoStateSolution(
         grid_size=grid_size,

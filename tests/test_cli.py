@@ -224,6 +224,36 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_output_paths_are_checked_before_the_run(monkeypatch, tmp_path, capsys):
+    import altseq.cli as cli
+
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    monkeypatch.setattr(cli.montecarlo, "run_fixed_horizon", compute)
+    monkeypatch.setattr(cli.finite, "solve_finite", compute)
+    missing = tmp_path / "missing"
+    argv = ["compare", "--n", "10000", "--reps", "200", "--out", f"{missing}/x.json"]
+    assert main(argv) == 2
+    tables = tmp_path / "t.csv"
+    argv = ["finite", "--n", "3", "--dump-tables", str(tables)]
+    assert main(argv + ["--out", f"{missing}/x.csv"]) == 2
+    assert not tables.exists()
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_failed_run_leaves_output_files_as_they_were(tmp_path, capsys):
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("earlier result\n")
+    for path in (new, kept):
+        code = main(["geometric", "--rho", "0.9", "--tol", "0", "--out", str(path)])
+        assert code == 2
+    assert not new.exists()
+    assert kept.read_text() == "earlier result\n"
+    assert main(["geometric", "--rho", "0.9", "--grid", "101", "--out", str(kept)]) == 0
+    assert json.loads(kept.read_text())["command"] == "geometric"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_offline_out_of_range_seed_exits_2(capsys, seed):
     code = main(["offline", "--n", "10", "--reps", "5", "--seed", seed])

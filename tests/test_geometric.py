@@ -106,7 +106,7 @@ def test_contraction_decay():
     v = np.zeros(501)
     norms = []
     for _ in range(60):
-        v_next = _bellman.apply_flipped(v, ys, rho)
+        v_next, _ = _bellman.apply_flipped(v, ys, rho)
         norms.append(np.max(np.abs(v_next - v)))
         v = v_next
     for a, b in zip(norms[2:], norms[3:]):
@@ -222,7 +222,7 @@ def _value_iteration(rho, grid_size, tol):
     ys = _bellman.uniform_grid(grid_size)
     v = np.zeros(grid_size)
     while True:
-        v_next = _bellman.apply_flipped(v, ys, rho)
+        v_next, _ = _bellman.apply_flipped(v, ys, rho)
         residual = np.max(np.abs(v_next - v))
         v = v_next
         if residual < tol:
@@ -262,15 +262,14 @@ def test_fixed_point_recovers_from_a_step_gone_astray(fault):
 
     def apply(v):
         calls.append(1)
-        out = _bellman.apply_flipped(v, ys, rho)
-        return out + fault if len(calls) == 6 else out
+        out, f = _bellman.apply_flipped(v, ys, rho)
+        return (out + fault if len(calls) == 6 else out), 1.0 - rho * f
 
     values, residual, iterations = geo._fixed_point(
         apply,
         np.zeros(grid_size),
         rho,
         tol,
-        precondition=lambda v: 1.0 - rho * _bellman.threshold_curve(v, ys, rho),
         project=geo._nonnegative_non_increasing,
     )
     assert iterations == len(calls) > 6

@@ -2,9 +2,11 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from altseq import (
     ConcatenatedPolicy,
@@ -96,6 +98,39 @@ def test_determinism_across_chunk_sizes(monkeypatch):
     assert np.array_equal(full_geo.per_rep_counts, chunked_geo.per_rep_counts)
 
 
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    reps=st.integers(min_value=1, max_value=30),
+    max_chunk=st.integers(min_value=1, max_value=7),
+    target_elements=st.integers(min_value=1, max_value=7),
+    n=st.integers(min_value=1, max_value=8),
+    xi=st.floats(min_value=0.0, max_value=0.5),
+    rho=st.floats(min_value=0.3, max_value=0.9),
+    solved=st.booleans(),
+)
+def test_counts_do_not_depend_on_chunk_sizes(
+    sol_n3, seed, reps, max_chunk, target_elements, n, xi, rho, solved
+):
+    import altseq.montecarlo as mc
+
+    if solved:
+        policy, n = FiniteOptimalPolicy(sol_n3), 3
+        geo_policy = ConcatenatedPolicy(sol_n3)
+    else:
+        policy = geo_policy = FixedThresholdPolicy(xi)
+    run = dict(reps=reps, seed=seed, keep_counts=True)
+    fixed = SimulationConfig(policy=policy, n=n, **run)
+    geo = SimulationConfig(policy=geo_policy, rho=rho, **run)
+    full = run_fixed_horizon(fixed).per_rep_counts
+    full_geo = run_geometric_horizon(geo).per_rep_counts
+    with mock.patch.object(mc, "MAX_CHUNK", max_chunk), mock.patch.object(
+        mc, "CHUNK_TARGET_ELEMENTS", target_elements
+    ):
+        assert np.array_equal(run_fixed_horizon(fixed).per_rep_counts, full)
+        assert np.array_equal(run_geometric_horizon(geo).per_rep_counts, full_geo)
+
+
 def test_replicate_streams_are_distinct():
     a = replicate_rng(42, 0).random(100)
     b = replicate_rng(42, 1).random(100)
@@ -117,6 +152,26 @@ def test_replicate_keys_span_the_full_u64_range():
         for rep in (0, 1, 99_999):
             legacy = np.random.Generator(np.random.Philox(key=[seed, rep]))
             assert np.array_equal(replicate_rng(seed, rep).random(8), legacy.random(8))
+
+
+U64_EDGES = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+U64 = st.one_of(st.sampled_from(U64_EDGES), st.integers(0, 2**64 - 1))
+
+
+@settings(deadline=None)
+@given(a=U64, b=U64, rep_a=st.integers(0, 3), rep_b=st.integers(0, 3))
+@example(a=2**63 - 1, b=2**63, rep_a=0, rep_b=0)
+@example(a=2**63, b=2**63 + 1, rep_a=0, rep_b=0)
+@example(a=2**63 - 1, b=2**63 + 1, rep_a=1, rep_b=1)
+@example(a=2**64 - 1, b=2**64 - 2, rep_a=0, rep_b=0)
+@example(a=2**64 - 1, b=0, rep_a=2, rep_b=2)
+def test_streams_stay_distinct_across_the_u64_seed_range(a, b, rep_a, rep_b):
+    assume((a, rep_a) != (b, rep_b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = replicate_rng(a, rep_a).random(16)
+        y = replicate_rng(b, rep_b).random(16)
+    assert not np.any(x == y)
 
 
 def test_counts_not_kept_by_default():
