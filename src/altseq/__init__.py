@@ -18,7 +18,6 @@ from .geometric import (
     TwoStateSolution,
     ValueFunctionGrid,
     closed_form_diagnostics,
-    extract_threshold,
     fixed_threshold_value,
     solve_flipped,
     solve_two_state,
@@ -67,7 +66,6 @@ __all__ = [
     "TwoStateSolution",
     "ValueFunctionGrid",
     "closed_form_diagnostics",
-    "extract_threshold",
     "fixed_threshold_value",
     "solve_flipped",
     "solve_two_state",

@@ -76,17 +76,9 @@ def emit_keyvalue_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-SIM_CSV_HEADER = [
-    "policy",
-    "horizon_kind",
-    "horizon_param",
-    "reps",
-    "seed",
-    "mean",
-    "variance",
-    "std_error",
-    "rate",
-]
+#: Simulation row columns: the first five describe the run, the rest its result.
+RUN_COLUMNS = ["policy", "horizon_kind", "horizon_param", "reps", "seed"]
+SIM_CSV_HEADER = RUN_COLUMNS + ["mean", "variance", "std_error", "rate"]
 
 
 def emit_rows_csv(rows: list[dict]) -> str:
@@ -125,16 +117,20 @@ def _deliver(payload: dict, args, rows: Optional[list[dict]] = None) -> None:
         sys.stdout.write(text)
 
 
-def _sim_row(name, horizon_kind, horizon_param, reps, seed, result) -> dict:
-    rate = result.mean / horizon_param if horizon_kind == "fixed" else (
-        result.mean * (1.0 - horizon_param)
-    )
+def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
+    """Run cfg on the runner for its horizon; returns its simulation row."""
+    if cfg.n is not None:
+        result = montecarlo.run_fixed_horizon(cfg)
+        kind, param, rate = "fixed", cfg.n, result.mean / cfg.n
+    else:
+        result = montecarlo.run_geometric_horizon(cfg)
+        kind, param, rate = "geometric", cfg.rho, result.mean * (1.0 - cfg.rho)
     return {
-        "policy": name,
-        "horizon_kind": horizon_kind,
-        "horizon_param": horizon_param,
-        "reps": reps,
-        "seed": seed,
+        "policy": label,
+        "horizon_kind": kind,
+        "horizon_param": param,
+        "reps": cfg.reps,
+        "seed": cfg.seed,
         "mean": result.mean,
         "variance": result.variance,
         "std_error": result.std_error,
@@ -190,8 +186,7 @@ def cmd_geometric(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    _check_table_budget(args.n, args.grid)
-    sol = finite.solve_finite(args.n, args.grid)
+    sol = _solve_finite(args.n, args.grid)
     value = float(sol.value_table[0, 0])
     lower = (2.0 - SQRT2) * args.n
     upper = lower + 11.0 - 4.0 * SQRT2
@@ -229,8 +224,16 @@ def _check_table_budget(n: int, grid: int) -> None:
         )
 
 
-def _build_policy(args) -> tuple[Policy, str, float, str]:
-    """Resolve --policy plus flags into (policy, horizon_kind, param, name)."""
+def _solve_finite(n: int, grid: int) -> finite.FiniteSolution:
+    _check_table_budget(n, grid)
+    return finite.solve_finite(n, grid)
+
+
+def _build_policy(args) -> tuple[Policy, str, dict]:
+    """Resolve --policy plus flags into (policy, label, horizon).
+
+    horizon is {"n": n} or {"rho": rho}, as SimulationConfig takes it.
+    """
     name = args.policy
     if args.xi is not None and name != "threshold":
         raise ValueError(f"--xi only applies to --policy threshold, not {name}")
@@ -239,22 +242,19 @@ def _build_policy(args) -> tuple[Policy, str, float, str]:
             raise ValueError(
                 "concat needs --rho (horizon) and --n (block solution horizon)"
             )
-        _check_table_budget(args.n, args.grid)
-        sol = finite.solve_finite(args.n, args.grid)
-        return ConcatenatedPolicy(sol), "geometric", args.rho, f"concat(n={args.n})"
+        policy = ConcatenatedPolicy(_solve_finite(args.n, args.grid))
+        return policy, f"concat(n={args.n})", {"rho": args.rho}
+    # --n, when given, is the horizon of every other policy
+    horizon = {"rho": args.rho} if args.n is None else {"n": args.n}
     if name == "geometric-optimal":
         if args.rho is None:
             raise ValueError("geometric-optimal needs --rho")
         policy = GeometricOptimalPolicy(args.rho)
-        if args.n is not None:
-            return policy, "fixed", args.n, f"geometric-optimal(rho={args.rho})"
-        return policy, "geometric", args.rho, f"geometric-optimal(rho={args.rho})"
+        return policy, f"geometric-optimal(rho={args.rho})", horizon
     if name == "finite-optimal":
         if args.n is None or args.rho is not None:
             raise ValueError("finite-optimal needs --n and runs on fixed horizons")
-        _check_table_budget(args.n, args.grid)
-        sol = finite.solve_finite(args.n, args.grid)
-        return FiniteOptimalPolicy(sol), "fixed", args.n, "finite-optimal"
+        return FiniteOptimalPolicy(_solve_finite(args.n, args.grid)), name, horizon
     if name == "threshold":
         if args.xi is None:
             raise ValueError("threshold needs --xi")
@@ -268,33 +268,19 @@ def _build_policy(args) -> tuple[Policy, str, float, str]:
         raise ValueError(f"unknown policy {name!r}")
     if (args.n is None) == (args.rho is None):
         raise ValueError("give exactly one horizon: --n or --rho")
-    policy = FixedThresholdPolicy(xi)
-    if args.n is not None:
-        return policy, "fixed", args.n, label
-    return policy, "geometric", args.rho, label
+    return FixedThresholdPolicy(xi), label, horizon
 
 
 def cmd_simulate(args) -> int:
-    policy, horizon_kind, horizon_param, label = _build_policy(args)
-    if horizon_kind == "fixed":
-        run, horizon = montecarlo.run_fixed_horizon, {"n": int(horizon_param)}
-    else:
-        run, horizon = montecarlo.run_geometric_horizon, {"rho": horizon_param}
+    policy, label, horizon = _build_policy(args)
     cfg = montecarlo.SimulationConfig(
         reps=args.reps, seed=args.seed, policy=policy, **horizon
     )
-    result = run(cfg)
-    row = _sim_row(label, horizon_kind, horizon_param, args.reps, args.seed, result)
+    row = _simulate(label, cfg)
+    config = {key: row[key] for key in RUN_COLUMNS}
     payload = {
         "command": "simulate",
-        "config": {
-            "policy": label,
-            "horizon_kind": horizon_kind,
-            "horizon_param": horizon_param,
-            "reps": args.reps,
-            "seed": args.seed,
-            "grid": args.grid,
-        },
+        "config": {**config, "grid": args.grid},
         "result": row,
     }
     _deliver(payload, args, [row])
@@ -316,12 +302,11 @@ def cmd_compare(args) -> int:
         (finite_label, None, n_finite),
     ]:
         if policy is None:  # solved last: its tables are not held during the others
-            policy = FiniteOptimalPolicy(finite.solve_finite(n, args.grid))
+            policy = FiniteOptimalPolicy(_solve_finite(n, args.grid))
         cfg = montecarlo.SimulationConfig(
             reps=args.reps, seed=args.seed, policy=policy, n=n
         )
-        result = montecarlo.run_fixed_horizon(cfg)
-        rows.append(_sim_row(label, "fixed", n, args.reps, args.seed, result))
+        rows.append(_simulate(label, cfg))
     payload = {
         "command": "compare",
         "config": {

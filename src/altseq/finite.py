@@ -59,9 +59,6 @@ class FiniteSolution:
             raise ValueError(f"stage {i} outside 1..{self.n}")
         return self.threshold_table[i - 1]
 
-    def value_at(self, i: int, y) -> np.ndarray:
-        return np.interp(y, self.ys, self.value_row(i))
-
 
 def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (T^k(0), f_k), k = 1..n: value and threshold, k observations left."""

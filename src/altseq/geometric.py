@@ -63,9 +63,6 @@ class ValueFunctionGrid:
     iterations: int
     error_bound: float
 
-    def value_at(self, y) -> np.ndarray:
-        return np.interp(y, self.ys, self.values)
-
 
 @dataclass(frozen=True)
 class TwoStateSolution:
@@ -226,17 +223,11 @@ def solve_two_state(
     )
 
 
-def extract_threshold(v: ValueFunctionGrid, rho: float) -> float:
-    """Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y) on [0, 1/2].
-
-    Grid scan plus linear interpolation inside the straddling cell. If Delta
-    is positive on all of [0, 1/2] the acceptance condition already holds at
-    x = y for every state and the threshold is 0.
-    """
-    return _threshold_from_values(v.values, v.ys, check_rho(rho))
-
-
 def _threshold_from_values(values: np.ndarray, ys: np.ndarray, rho: float) -> float:
+    # Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y) on [0, 1/2]: a
+    # grid scan plus linear interpolation inside the straddling cell. If Delta
+    # is positive on all of [0, 1/2] the acceptance condition already holds
+    # at x = y for every state and the threshold is 0.
     # 1 - ys[k] is itself a grid point, so no interpolation is needed here.
     delta = 1.0 + rho * values[::-1] - rho * values
     # Delta(1/2) = 1 exactly, so scanning one point past 1/2 guarantees the
@@ -343,7 +334,7 @@ def value_slope_interior(rho: float, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClosedFormDiagnostics:
-    """Residuals of the four defining conditions plus the interior slope curve.
+    """The four closed forms at xi and 1-xi and the residuals of their conditions.
 
     The four conditions tie together V(xi), V(1-xi), V'(xi) and V'(1-xi) of
     the fixed-threshold value function; the closed forms satisfy them
@@ -358,7 +349,6 @@ class ClosedFormDiagnostics:
     slope_at_xi: float
     slope_at_reflection: float
     residuals: np.ndarray
-    slope_curve: Callable[[np.ndarray], np.ndarray]
 
 
 def closed_form_diagnostics(rho: float, xi: float) -> ClosedFormDiagnostics:
@@ -388,5 +378,4 @@ def closed_form_diagnostics(rho: float, xi: float) -> ClosedFormDiagnostics:
         slope_at_xi=c,
         slope_at_reflection=d,
         residuals=residuals,
-        slope_curve=lambda y: value_slope_interior(rho, y),
     )

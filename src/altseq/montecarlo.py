@@ -45,7 +45,6 @@ class SimulationConfig:
     policy: Policy
     n: Optional[int] = None
     rho: Optional[float] = None
-    keep_counts: bool = False
 
     def __post_init__(self):
         _check_run(self.reps, self.seed)
@@ -59,13 +58,16 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Aggregate of per-replicate selection counts."""
+    """Aggregate of per-replicate selection counts.
+
+    per_rep_counts holds the count of every replicate, in replicate order.
+    """
 
     reps: int
     mean: float
     variance: float
     std_error: float
-    per_rep_counts: Optional[np.ndarray] = None
+    per_rep_counts: np.ndarray
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -83,7 +85,7 @@ def sample_horizon(rng: np.random.Generator, rho: float) -> int:
     return max(1, 1 + math.floor(math.log(u) / math.log(rho)))
 
 
-def _aggregate(counts: np.ndarray, keep_counts: bool) -> RunResult:
+def _aggregate(counts: np.ndarray) -> RunResult:
     reps = counts.size
     mean = float(counts.mean())
     variance = float(counts.var(ddof=1)) if reps > 1 else 0.0
@@ -92,7 +94,7 @@ def _aggregate(counts: np.ndarray, keep_counts: bool) -> RunResult:
         mean=mean,
         variance=variance,
         std_error=math.sqrt(variance / reps),
-        per_rep_counts=counts.copy() if keep_counts else None,
+        per_rep_counts=counts,
     )
 
 
@@ -133,7 +135,7 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
         for r in range(lo, hi):
             X[r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
         counts[lo:hi] = _simulate_batch(cfg.policy, X)
-    return _aggregate(counts, cfg.keep_counts)
+    return _aggregate(counts)
 
 
 def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
@@ -164,12 +166,10 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
         for idx, row in enumerate(rows):
             X[idx, : lengths[idx]] = row
         counts[lo:hi] = _simulate_batch(cfg.policy, X, lengths)
-    return _aggregate(counts, cfg.keep_counts)
+    return _aggregate(counts)
 
 
-def run_offline(
-    n: int, reps: int, seed: int, keep_counts: bool = False
-) -> RunResult:
+def run_offline(n: int, reps: int, seed: int) -> RunResult:
     """Full-knowledge baseline: the offline statistic on each replicate."""
     check_horizon(n)
     _check_run(reps, seed)
@@ -178,4 +178,4 @@ def run_offline(
         # tolist keeps the scan in plain-float arithmetic, ~10x faster
         # than iterating numpy scalars at these sizes.
         counts[r] = longest_alternating(replicate_rng(seed, r).random(n).tolist())
-    return _aggregate(counts, keep_counts)
+    return _aggregate(counts)

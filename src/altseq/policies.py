@@ -121,24 +121,20 @@ class ConcatenatedPolicy(Policy):
         y = batch["y"]
         bp = batch["block_pos"]
         seeking = bp == 0
-        thr = np.full(x.shape, SEEK_LEVEL)
-        in_block = ~seeking
-        if in_block.any():
-            thr[in_block] = _interp_rows(
-                sol.threshold_table, bp[in_block] - 1, sol.ys, y[in_block]
-            )
+        # Seeking rows read table row -1; their threshold is replaced below.
+        thr = _interp_rows(sol.threshold_table, bp - 1, sol.ys, y)
+        thr[seeking] = SEEK_LEVEL
         sel = x >= thr
         if active is not None:
             sel &= active
         np.copyto(y, 1.0 - x, where=sel)
-        moving = in_block if active is None else (in_block & active)
+        moving = ~seeking if active is None else (~seeking & active)
         bp[sel & seeking] = 1
-        bp[moving] += 1
-        spent = moving & (bp == self.n - 1)
-        if spent.any():
-            regen = spent & (y <= REGEN_LEVEL)
-            bp[regen] = 1
-            bp[spent & ~regen] = 0
+        bp += moving
+        # No row starts a step at n-1, so only rows that just moved are spent:
+        # they regenerate at once (1) or seek again (0).
+        spent = bp == self.n - 1
+        bp[spent] = y[spent] <= REGEN_LEVEL
         return sel
 
 

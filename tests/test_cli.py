@@ -166,6 +166,51 @@ def test_compare_notes_reduced_finite_horizon(capsys):
     assert finite_row["horizon_param"] == 1000
 
 
+SIM_ROW_KEYS = [
+    "policy", "horizon_kind", "horizon_param", "reps", "seed",
+    "mean", "variance", "std_error", "rate",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, label, kind, param",
+    [
+        (["greedy", "--n", "20"], "greedy", "fixed", 20),
+        (["timid", "--rho", "0.8"], "timid", "geometric", 0.8),
+        (["geometric-optimal", "--rho", "0.8", "--n", "20"],
+         "geometric-optimal(rho=0.8)", "fixed", 20),
+        (["concat", "--rho", "0.8", "--n", "5"], "concat(n=5)", "geometric", 0.8),
+    ],
+)
+def test_simulate_config_describes_the_run(capsys, argv, label, kind, param):
+    code, out = run_cli(
+        capsys, "simulate", "--policy", *argv,
+        "--reps", "30", "--seed", "4", "--grid", "101", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    config, row = payload["config"], payload["result"]
+    assert list(config) == SIM_ROW_KEYS[:5] + ["grid"]
+    assert list(row) == SIM_ROW_KEYS
+    assert config == {**{key: row[key] for key in SIM_ROW_KEYS[:5]}, "grid": 101}
+    assert [config[key] for key in SIM_ROW_KEYS[:5]] == [label, kind, param, 30, 4]
+    assert type(config["horizon_param"]) is type(param)
+
+
+def test_compare_rows_describe_their_runs(capsys):
+    code, out = run_cli(
+        capsys, "compare", "--n", "20", "--reps", "30", "--seed", "4",
+        "--grid", "101", "--json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["config"]) == ["n", "reps", "seed", "grid", "finite_optimal_n"]
+    for row in payload["rows"]:
+        assert list(row) == SIM_ROW_KEYS
+        assert [row[key] for key in SIM_ROW_KEYS[1:5]] == ["fixed", 20, 30, 4]
+        assert type(row["horizon_param"]) is int
+
+
 def test_out_file_json(tmp_path, capsys):
     path = tmp_path / "result.json"
     code, out = run_cli(

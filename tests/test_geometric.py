@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from altseq import (
     closed_form_diagnostics,
-    extract_threshold,
     fixed_threshold_value,
     solve_flipped,
     solve_two_state,
@@ -134,9 +133,9 @@ def test_two_state_agrees_with_flipped():
 def test_extract_threshold_examples():
     for rho, expected in [(0.9, 0.246870), (0.99, 0.288707)]:
         grid = solve_flipped(rho, grid_size=2001, tol=1e-10)
-        assert extract_threshold(grid, rho) == pytest.approx(expected, abs=2 / 2001)
+        assert grid.xi_estimate == pytest.approx(expected, abs=2 / 2001)
     grid = solve_flipped(0.5, grid_size=2001, tol=1e-10)
-    assert extract_threshold(grid, 0.5) == 0.0
+    assert grid.xi_estimate == 0.0
 
 
 def test_closed_form_agreement_across_rhos():

@@ -69,29 +69,25 @@ def test_wrong_runner_for_horizon():
 
 
 def test_determinism_bit_identical():
-    cfg = SimulationConfig(reps=500, seed=99, policy=GREEDY, n=60, keep_counts=True)
+    cfg = SimulationConfig(reps=500, seed=99, policy=GREEDY, n=60)
     a = run_fixed_horizon(cfg)
     b = run_fixed_horizon(cfg)
     assert a.mean == b.mean and a.variance == b.variance
     assert np.array_equal(a.per_rep_counts, b.per_rep_counts)
-    c = run_fixed_horizon(
-        SimulationConfig(reps=500, seed=100, policy=GREEDY, n=60, keep_counts=True)
-    )
+    c = run_fixed_horizon(SimulationConfig(reps=500, seed=100, policy=GREEDY, n=60))
     assert not np.array_equal(a.per_rep_counts, c.per_rep_counts)
 
 
 def test_determinism_across_chunk_sizes(monkeypatch):
     import altseq.montecarlo as mc
 
-    cfg = SimulationConfig(reps=333, seed=5, policy=TIMID, n=40, keep_counts=True)
+    cfg = SimulationConfig(reps=333, seed=5, policy=TIMID, n=40)
     full = run_fixed_horizon(cfg)
     monkeypatch.setattr(mc, "MAX_CHUNK", 17)
     chunked = run_fixed_horizon(cfg)
     assert np.array_equal(full.per_rep_counts, chunked.per_rep_counts)
 
-    cfg_geo = SimulationConfig(
-        reps=333, seed=5, policy=TIMID, rho=0.9, keep_counts=True
-    )
+    cfg_geo = SimulationConfig(reps=333, seed=5, policy=TIMID, rho=0.9)
     chunked_geo = run_geometric_horizon(cfg_geo)
     monkeypatch.undo()
     full_geo = run_geometric_horizon(cfg_geo)
@@ -119,7 +115,7 @@ def test_counts_do_not_depend_on_chunk_sizes(
         geo_policy = ConcatenatedPolicy(sol_n3)
     else:
         policy = geo_policy = FixedThresholdPolicy(xi)
-    run = dict(reps=reps, seed=seed, keep_counts=True)
+    run = dict(reps=reps, seed=seed)
     fixed = SimulationConfig(policy=policy, n=n, **run)
     geo = SimulationConfig(policy=geo_policy, rho=rho, **run)
     full = run_fixed_horizon(fixed).per_rep_counts
@@ -174,9 +170,15 @@ def test_streams_stay_distinct_across_the_u64_seed_range(a, b, rep_a, rep_b):
     assert not np.any(x == y)
 
 
-def test_counts_not_kept_by_default():
-    cfg = SimulationConfig(reps=50, seed=2, policy=GREEDY, n=10)
-    assert run_fixed_horizon(cfg).per_rep_counts is None
+def test_result_carries_its_counts():
+    run = dict(reps=50, seed=2, policy=GREEDY)
+    for res in (
+        run_fixed_horizon(SimulationConfig(n=10, **run)),
+        run_geometric_horizon(SimulationConfig(rho=0.9, **run)),
+        run_offline(10, reps=50, seed=2),
+    ):
+        assert res.per_rep_counts.shape == (50,)
+        assert res.mean == res.per_rep_counts.mean()
 
 
 def test_std_error_definition():
