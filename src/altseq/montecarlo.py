@@ -5,6 +5,11 @@ from Philox keyed by (s, r), so results are bit-identical for a given
 configuration no matter how replicates are chunked or scheduled, and any
 replicate can be regenerated in isolation. Within a stream the draw order
 is: horizon draw first (geometric runs only), then the observations.
+
+A chunk of replicates is stored flat and step-major, its rows sorted longest
+first: the rows still live at step i form a prefix, and their observations
+are one contiguous slice. A chunk thus holds the sum of its horizons, not
+rows x longest horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from .sequence import longest_alternating
 
 #: Upper bound on replicates simulated per lockstep chunk.
 MAX_CHUNK = 8192
-#: Target observation-matrix size per chunk, in float64 elements.
+#: Target fixed-horizon chunk size, rows x n, in float64 elements. Geometric
+#: chunks are bounded by MAX_CHUNK alone and hold the sum of their horizons.
 CHUNK_TARGET_ELEMENTS = 4_000_000
 
 
@@ -98,16 +104,28 @@ def _aggregate(counts: np.ndarray) -> RunResult:
     )
 
 
-def _simulate_batch(
-    policy: Policy, X: np.ndarray, lengths: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Run all rows of X through the policy in lockstep; returns counts."""
-    n_rows, n_steps = X.shape
-    batch = policy.new_batch(n_rows)
-    counts = np.zeros(n_rows, dtype=np.int64)
-    for i in range(1, n_steps + 1):
-        active = None if lengths is None else lengths >= i
-        counts += policy.step_batch(batch, i, X[:, i - 1], active)
+def _simulate_batch(policy: Policy, flat: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Run a step-major chunk through the policy in lockstep; returns counts.
+
+    live[i-1] rows, a prefix of the longest-first order, are live at step i,
+    and their observations are the next live[i-1] entries of flat. Counts
+    come back in that order. Dead rows are stepped with active False.
+    """
+    rows = int(live[0])
+    batch = policy.new_batch(rows)
+    counts = np.zeros(rows, dtype=np.int64)
+    index = np.arange(rows)
+    x = np.empty(rows)
+    s = 0
+    # No tolist: a list held through the loop pinned the top of the C heap,
+    # so the chunk freed after the run stayed resident.
+    for i, k in enumerate(live, start=1):
+        if k == rows:
+            counts += policy.step_batch(batch, i, flat[s : s + k], None)
+        else:
+            x[:k] = flat[s : s + k]
+            counts += policy.step_batch(batch, i, x, index < k)
+        s += k
     return counts
 
 
@@ -131,10 +149,12 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     chunk = _fixed_chunk(cfg.n, cfg.reps)
     for lo in range(0, cfg.reps, chunk):
         hi = min(lo + chunk, cfg.reps)
-        X = np.empty((hi - lo, cfg.n))
+        flat = np.empty(cfg.n * (hi - lo))
+        X = flat.reshape(cfg.n, hi - lo)
         for r in range(lo, hi):
-            X[r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
-        counts[lo:hi] = _simulate_batch(cfg.policy, X)
+            X[:, r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
+        every_row_live = np.broadcast_to(hi - lo, cfg.n)
+        counts[lo:hi] = _simulate_batch(cfg.policy, flat, every_row_live)
     return _aggregate(counts)
 
 
@@ -155,17 +175,18 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     chunk = min(cfg.reps, MAX_CHUNK)
     for lo in range(0, cfg.reps, chunk):
         hi = min(lo + chunk, cfg.reps)
-        lengths = np.empty(hi - lo, dtype=np.int64)
-        rows = []
-        for r in range(lo, hi):
-            rng = replicate_rng(cfg.seed, r)
-            horizon = sample_horizon(rng, cfg.rho)
-            lengths[r - lo] = horizon
-            rows.append(rng.random(horizon))
-        X = np.zeros((hi - lo, int(lengths.max())))
-        for idx, row in enumerate(rows):
-            X[idx, : lengths[idx]] = row
-        counts[lo:hi] = _simulate_batch(cfg.policy, X, lengths)
+        # Streams wait, horizon drawn, until the sort order is known, so the
+        # observations are drawn straight into their place.
+        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, hi)]
+        lengths = np.array([sample_horizon(rng, cfg.rho) for rng in rngs])
+        order = np.argsort(-lengths, kind="stable")
+        # live[i-1] = rows with horizon >= i; step i starts at start[i-1]
+        live = np.bincount(lengths)[:0:-1].cumsum()[::-1]
+        start = np.concatenate(([0], live[:-1].cumsum()))
+        flat = np.empty(int(live.sum()))
+        for p, r in enumerate(order):
+            flat[start[: lengths[r]] + p] = rngs[r].random(lengths[r])
+        counts[lo + order] = _simulate_batch(cfg.policy, flat, live)
     return _aggregate(counts)
 
 

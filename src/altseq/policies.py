@@ -83,11 +83,13 @@ class FiniteOptimalPolicy(Policy):
 
 
 def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):
-    # Linear interpolation of table[rows] at points y, row chosen per entry.
+    # Linear interpolation of table[rows] at points y, row chosen per entry;
+    # one flat index gathers table[rows, j] (row -1 is the last row).
     step = ys[1] - ys[0]
     j = np.minimum((y / step).astype(np.int64), ys.size - 2)
     frac = y / step - j
-    return table[rows, j] * (1.0 - frac) + table[rows, j + 1] * frac
+    flat = rows * ys.size + j
+    return table.take(flat) * (1.0 - frac) + table.take(flat + 1) * frac
 
 
 class ConcatenatedPolicy(Policy):

@@ -1,6 +1,8 @@
 """Simulation harness: determinism, stream hygiene, statistical agreement."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -179,6 +181,51 @@ def test_result_carries_its_counts():
     ):
         assert res.per_rep_counts.shape == (50,)
         assert res.mean == res.per_rep_counts.mean()
+
+
+#: sha256 of per_rep_counts.tobytes(), recorded before chunks were stored
+#: step-major; the layout must not change a single count.
+GOLDEN_COUNTS = {
+    "geometric-optimal": "10d35d666f486d93321d2ef618977c63a59a2b64a02b9fc6a9712a356e5e4878",
+    "concat": "2734d232b2f2fe8f503179a28d7002bc16cf88b4f6dec69d4fe888c4ceda712c",
+    "finite-optimal": "d993a1f21f97e453b6b8865cffd4f2ffba8d29fa67991c5cd974bf58de772bbf",
+}
+
+
+def test_counts_match_recorded_digests(sol_n10):
+    geo = dict(reps=512, seed=42, rho=0.99)
+    runs = {
+        "geometric-optimal": run_geometric_horizon(
+            SimulationConfig(policy=GeometricOptimalPolicy(0.99), **geo)
+        ),
+        "concat": run_geometric_horizon(
+            SimulationConfig(policy=ConcatenatedPolicy(sol_n10), **geo)
+        ),
+        "finite-optimal": run_fixed_horizon(
+            SimulationConfig(
+                reps=300, seed=42, policy=FiniteOptimalPolicy(solve_finite(12)), n=12
+            )
+        ),
+    }
+    for name, res in runs.items():
+        digest = hashlib.sha256(res.per_rep_counts.tobytes()).hexdigest()
+        assert digest == GOLDEN_COUNTS[name], name
+
+
+def test_geometric_chunk_memory_follows_the_drawn_horizons():
+    reps, seed, rho = 2048, 11, 0.995
+    total = sum(sample_horizon(replicate_rng(seed, r), rho) for r in range(reps))
+    cfg = SimulationConfig(
+        reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
+    )
+    tracemalloc.start()
+    try:
+        run_geometric_horizon(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a chunk padded to its longest horizon would take about ten times this
+    assert peak <= 3 * 8 * total
 
 
 def test_std_error_definition():

@@ -69,9 +69,21 @@ def scalar_counts(policy, X, lengths=None):
 
 
 def batch_counts(policy, X, lengths=None):
+    """Batch path: the runners' chunk layout, built here from X and lengths.
+
+    Rows are sorted longest first and stored step-major, so the rows live at
+    step i are a prefix; counts are returned in the order of the rows of X.
+    """
     from altseq.montecarlo import _simulate_batch
 
-    return _simulate_batch(policy, X, lengths)
+    rows, steps = X.shape
+    lengths = np.full(rows, steps) if lengths is None else np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    live = [int(np.count_nonzero(lengths >= i)) for i in range(1, lengths.max() + 1)]
+    flat = np.concatenate([X[order[:k], i] for i, k in enumerate(live)])
+    counts = np.empty(rows, dtype=np.int64)
+    counts[order] = _simulate_batch(policy, flat, np.array(live))
+    return counts
 
 
 def step_one(policy, batch, i, x):
@@ -204,22 +216,28 @@ def test_selected_subsequences_alternate(sol_n10):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     rows=st.integers(min_value=1, max_value=40),
-    horizon=st.integers(min_value=3, max_value=12),
+    horizon=st.integers(min_value=1, max_value=12),
     ragged=st.booleans(),
+    shortest=st.integers(min_value=1, max_value=12),
     xi=st.floats(min_value=0.0, max_value=0.5),
     rho=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
-@example(seed=17, rows=40, horizon=10, ragged=False, xi=0.0, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=False, xi=0.3, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=True, xi=0.0, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=True, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.0, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.0, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85)
+# all lengths equal, a single row, and every length 1
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=10, xi=0.3, rho=0.85)
+@example(seed=17, rows=1, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=1, ragged=True, shortest=1, xi=0.3, rho=0.85)
 def test_batch_path_matches_scalar_path(
-    sol_n3, sol_n10, seed, rows, horizon, ragged, xi, rho
+    sol_n3, sol_n10, seed, rows, horizon, ragged, shortest, xi, rho
 ):
     rng = seeded_rng(seed)
     X = rng.random((rows, horizon))
-    # ragged horizons, as the geometric runner pads them
-    lengths = rng.integers(1, horizon + 1, size=rows) if ragged else None
+    # ragged horizons in [shortest, horizon]: rows die at different steps
+    low = min(shortest, horizon)
+    lengths = rng.integers(low, horizon + 1, size=rows) if ragged else None
     policies = [FixedThresholdPolicy(xi), GeometricOptimalPolicy(rho)]
     policies += [ConcatenatedPolicy(sol_n3), ConcatenatedPolicy(sol_n10)]
     for policy in policies:
@@ -234,6 +252,57 @@ def test_batch_path_matches_scalar_path(
         assert np.array_equal(
             batch_counts(policy, Xn, ln), scalar_counts(policy, Xn, ln)
         )
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=30),
+    i=st.integers(min_value=1, max_value=10),
+)
+def test_dead_rows_keep_their_state(sol_n10, seed, rows, i):
+    # The runner steps dead rows on whatever its reused buffer holds.
+    rng = seeded_rng(seed)
+    x = rng.random(rows)
+    edge = rng.integers(0, 3, size=rows)
+    x[edge == 1], x[edge == 2] = 0.0, 1.0
+    active = rng.random(rows) < 0.5
+    policies = [FixedThresholdPolicy(0.0), FixedThresholdPolicy(0.5)]
+    policies += [GeometricOptimalPolicy(0.9), FiniteOptimalPolicy(sol_n10)]
+    policies += [ConcatenatedPolicy(sol_n10)]
+    for policy in policies:
+        batch = policy.new_batch(rows)
+        batch["y"][:] = rng.random(rows)
+        if "block_pos" in batch:
+            batch["block_pos"][:] = rng.integers(0, policy.n - 1, size=rows)
+        before = {key: value.copy() for key, value in batch.items()}
+        selected = policy.step_batch(batch, i, x, active)
+        assert not selected[~active].any()
+        for key, value in batch.items():
+            assert np.array_equal(value[~active], before[key][~active])
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=12),
+    grid_size=st.integers(min_value=2, max_value=80),
+    y=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+)
+@example(seed=0, n=3, grid_size=11, y=[0.0, 0.9, 0.95, 1.0])
+def test_interp_rows_gathers_like_row_indexing(seed, n, grid_size, y):
+    from altseq.policies import _interp_rows
+
+    rng = seeded_rng(seed)
+    table = rng.random((n, grid_size))
+    ys = np.linspace(0.0, 1.0, grid_size)
+    y = np.array(y)
+    rows = rng.integers(-1, n, size=y.size)  # -1 is the last row
+    step = ys[1] - ys[0]
+    j = np.minimum((y / step).astype(np.int64), grid_size - 2)
+    frac = y / step - j
+    expected = table[rows, j] * (1.0 - frac) + table[rows, j + 1] * frac
+    assert np.array_equal(_interp_rows(table, rows, ys, y), expected)
 
 
 def test_stationary_rate_values():
