@@ -11,6 +11,7 @@ quadrature noise near the kink.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -18,6 +19,26 @@ import numpy as np
 DEFAULT_GRID = 2001
 DEFAULT_TOL = 1e-10
 SQRT2 = math.sqrt(2.0)
+
+
+#: Map arrays prefaulted where the platform can: one call, not a fault per page.
+_PREFAULT = (
+    {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE}
+    if hasattr(mmap, "MAP_POPULATE")
+    else {}
+)
+
+
+def mapped_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
+    """Float64 zeros in an anonymous mapping of their own, unmapped when freed.
+
+    For the large tables and chunks: a block this size from malloc stays
+    resident after it is freed whenever a small block has landed above it in
+    the C heap, so peak RSS followed the timing of unrelated allocations.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count, 1) * 8, **_PREFAULT)
+    return np.frombuffer(buf, np.float64, count).reshape(shape)
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:

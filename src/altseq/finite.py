@@ -72,8 +72,8 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     """Solve the n-stage problem; one sweep fills both tables."""
     n = check_horizon(n)
     ys = _bellman.uniform_grid(grid_size)
-    value_table = np.zeros((n + 1, grid_size))
-    threshold_table = np.empty((n, grid_size))
+    value_table = _bellman.mapped_zeros((n + 1, grid_size))
+    threshold_table = _bellman.mapped_zeros((n, grid_size))
     for k, (w, f) in enumerate(_sweep(n, ys), start=1):  # stage n - k + 1
         value_table[n - k], threshold_table[n - k] = w, f
     return FiniteSolution(

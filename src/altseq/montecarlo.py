@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._bellman import mapped_zeros
 from .geometric import check_rho
 from .finite import check_horizon
 from .policies import ConcatenatedPolicy, FiniteOptimalPolicy, Policy
@@ -117,8 +118,6 @@ def _simulate_batch(policy: Policy, flat: np.ndarray, live: np.ndarray) -> np.nd
     index = np.arange(rows)
     x = np.empty(rows)
     s = 0
-    # No tolist: a list held through the loop pinned the top of the C heap,
-    # so the chunk freed after the run stayed resident.
     for i, k in enumerate(live, start=1):
         if k == rows:
             counts += policy.step_batch(batch, i, flat[s : s + k], None)
@@ -149,7 +148,7 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     chunk = _fixed_chunk(cfg.n, cfg.reps)
     for lo in range(0, cfg.reps, chunk):
         hi = min(lo + chunk, cfg.reps)
-        flat = np.empty(cfg.n * (hi - lo))
+        flat = mapped_zeros(cfg.n * (hi - lo))
         X = flat.reshape(cfg.n, hi - lo)
         for r in range(lo, hi):
             X[:, r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
@@ -183,7 +182,7 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
         # live[i-1] = rows with horizon >= i; step i starts at start[i-1]
         live = np.bincount(lengths)[:0:-1].cumsum()[::-1]
         start = np.concatenate(([0], live[:-1].cumsum()))
-        flat = np.empty(int(live.sum()))
+        flat = mapped_zeros(int(live.sum()))
         for p, r in enumerate(order):
             flat[start[: lengths[r]] + p] = rngs[r].random(lengths[r])
         counts[lo + order] = _simulate_batch(cfg.policy, flat, live)

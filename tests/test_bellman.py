@@ -76,3 +76,13 @@ def test_finite_thresholds_come_from_the_next_stage(n, grid_size):
     for i in range(1, n + 1):
         reference = _bellman.threshold_curve(sol.value_row(i + 1), sol.ys)
         assert np.max(np.abs(sol.threshold_row(i) - reference)) <= 1e-14
+
+
+def test_mapped_zeros_are_writable_zeros_of_the_asked_shape():
+    for shape in (0, 5, (3, 4), (0, 7)):
+        a = _bellman.mapped_zeros(shape)
+        assert a.shape == np.empty(shape).shape
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert not a.any()
+        a[...] = 1.5
+        assert (a == 1.5).all()
