@@ -59,9 +59,6 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             rows.extend(_flatten(value, prefix=f"{name}."))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for idx, item in enumerate(value):
-                rows.extend(_flatten(item, prefix=f"{name}[{idx}]."))
         else:
             rows.append((name, value))
     return rows
@@ -186,7 +183,7 @@ def cmd_geometric(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    sol = _solve_finite(args.n, args.grid)
+    sol = finite.solve_finite(args.n, args.grid)
     value = float(sol.value_table[0, 0])
     lower = (2.0 - SQRT2) * args.n
     upper = lower + 11.0 - 4.0 * SQRT2
@@ -215,24 +212,11 @@ def _dump_tables(sol, path: str) -> None:
                 writer.writerow([i, f"{y:.9g}", f"{v:.9g}", f"{t:.9g}"])
 
 
-def _check_table_budget(n: int, grid: int) -> None:
-    # two (n+1) x grid float tables; refuse silly allocations up front
-    if (n + 1) * grid > 20_000_000:
-        raise ValueError(
-            f"solution tables for n={n} at grid={grid} would be too large; "
-            "reduce --n or --grid"
-        )
-
-
-def _solve_finite(n: int, grid: int) -> finite.FiniteSolution:
-    _check_table_budget(n, grid)
-    return finite.solve_finite(n, grid)
-
-
 def _build_policy(args) -> tuple[Policy, str, dict]:
     """Resolve --policy plus flags into (policy, label, horizon).
 
-    horizon is {"n": n} or {"rho": rho}, as SimulationConfig takes it.
+    horizon holds the n and rho keywords of SimulationConfig, which checks
+    that exactly one is set and that the policy suits it.
     """
     name = args.policy
     if args.xi is not None and name != "threshold":
@@ -242,19 +226,22 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
             raise ValueError(
                 "concat needs --rho (horizon) and --n (block solution horizon)"
             )
-        policy = ConcatenatedPolicy(_solve_finite(args.n, args.grid))
+        policy = ConcatenatedPolicy(finite.solve_finite(args.n, args.grid))
         return policy, f"concat(n={args.n})", {"rho": args.rho}
-    # --n, when given, is the horizon of every other policy
-    horizon = {"rho": args.rho} if args.n is None else {"n": args.n}
     if name == "geometric-optimal":
         if args.rho is None:
             raise ValueError("geometric-optimal needs --rho")
+        # --rho is the policy's parameter; --n, when given, is the horizon
+        horizon = {"rho": args.rho} if args.n is None else {"n": args.n}
         policy = GeometricOptimalPolicy(args.rho)
         return policy, f"geometric-optimal(rho={args.rho})", horizon
+    # for every other policy --n and --rho both name the horizon
+    horizon = {"n": args.n, "rho": args.rho}
     if name == "finite-optimal":
-        if args.n is None or args.rho is not None:
-            raise ValueError("finite-optimal needs --n and runs on fixed horizons")
-        return FiniteOptimalPolicy(_solve_finite(args.n, args.grid)), name, horizon
+        if args.n is None:
+            raise ValueError("finite-optimal needs --n")
+        solution = finite.solve_finite(args.n, args.grid)
+        return FiniteOptimalPolicy(solution), name, horizon
     if name == "threshold":
         if args.xi is None:
             raise ValueError("threshold needs --xi")
@@ -262,12 +249,8 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
         label = f"threshold({xi:g})"
     elif name == "greedy":
         xi, label = 0.0, "greedy"
-    elif name == "timid":
+    else:  # timid; argparse choices admit no other name
         xi, label = 0.5, "timid"
-    else:
-        raise ValueError(f"unknown policy {name!r}")
-    if (args.n is None) == (args.rho is None):
-        raise ValueError("give exactly one horizon: --n or --rho")
     return FixedThresholdPolicy(xi), label, horizon
 
 
@@ -289,7 +272,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
-    _check_table_budget(n_finite, args.grid)
+    finite.check_table_budget(n_finite, args.grid)  # refuse before any simulation
     xi_star = 1.0 - 1.0 / SQRT2
     finite_label = "finite-optimal" if n_finite == args.n else (
         f"finite-optimal(reduced n={n_finite})"
@@ -302,7 +285,7 @@ def cmd_compare(args) -> int:
         (finite_label, None, n_finite),
     ]:
         if policy is None:  # solved last: its tables are not held during the others
-            policy = FiniteOptimalPolicy(_solve_finite(n, args.grid))
+            policy = FiniteOptimalPolicy(finite.solve_finite(n, args.grid))
         cfg = montecarlo.SimulationConfig(
             reps=args.reps, seed=args.seed, policy=policy, n=n
         )

@@ -30,6 +30,15 @@ def check_horizon(n: int) -> int:
     return int(n)
 
 
+def check_table_budget(n: int, grid_size: int) -> None:
+    """Refuse a solve whose (n+1) x grid_size value table exceeds 20M cells."""
+    if (n + 1) * grid_size > 20_000_000:
+        raise ValueError(
+            f"solution tables for n={n} at grid={grid_size} would be too large; "
+            "reduce the horizon or the grid"
+        )
+
+
 @dataclass(frozen=True)
 class FiniteSolution:
     """Backward-induction output for one horizon.
@@ -71,6 +80,7 @@ def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     """Solve the n-stage problem; one sweep fills both tables."""
     n = check_horizon(n)
+    check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
     value_table = _bellman.mapped_zeros((n + 1, grid_size))
     threshold_table = _bellman.mapped_zeros((n, grid_size))

@@ -22,9 +22,6 @@ import numpy as np
 from . import _bellman
 from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
 
-#: rho below which the raw threshold formula goes negative and is clamped to 0.
-FLAT_REGIME_RHO = 2.0 - SQRT2
-
 #: Earlier steps each Anderson step combines (Walker & Ni, SIAM J. Numer.
 #: Anal. 49(4), 2011).
 ANDERSON_DEPTH = 3

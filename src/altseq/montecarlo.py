@@ -44,7 +44,9 @@ def _check_run(reps: int, seed: int) -> None:
 class SimulationConfig:
     """One reproducible run: a policy, a horizon, replicates, and a seed.
 
-    Exactly one of n (fixed horizon) or rho (geometric horizon) is set.
+    Exactly one of n (fixed horizon) or rho (geometric horizon) is set. A
+    finite-optimal policy needs the fixed horizon it was solved for, and the
+    concatenated policy a geometric one.
     """
 
     reps: int
@@ -61,6 +63,13 @@ class SimulationConfig:
             check_horizon(self.n)
         if self.rho is not None:
             check_rho(self.rho)
+        if isinstance(self.policy, FiniteOptimalPolicy) and self.policy.n != self.n:
+            raise ValueError(
+                f"the finite-optimal policy solved for n={self.policy.n} "
+                f"needs the fixed horizon n={self.policy.n}"
+            )
+        if isinstance(self.policy, ConcatenatedPolicy) and self.rho is None:
+            raise ValueError("the concatenated policy needs a geometric horizon")
 
 
 @dataclass(frozen=True)
@@ -136,14 +145,6 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     """Evaluate cfg.policy on n i.i.d. uniform observations per replicate."""
     if cfg.n is None:
         raise ValueError("run_fixed_horizon needs a fixed-horizon config")
-    if isinstance(cfg.policy, ConcatenatedPolicy):
-        raise ValueError(
-            "the concatenated policy is exposed for geometric horizons only"
-        )
-    if isinstance(cfg.policy, FiniteOptimalPolicy) and cfg.policy.n != cfg.n:
-        raise ValueError(
-            f"horizon/policy mismatch: config n={cfg.n}, solution n={cfg.policy.n}"
-        )
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = _fixed_chunk(cfg.n, cfg.reps)
     for lo in range(0, cfg.reps, chunk):
@@ -165,11 +166,6 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     """
     if cfg.rho is None:
         raise ValueError("run_geometric_horizon needs a geometric-horizon config")
-    if isinstance(cfg.policy, FiniteOptimalPolicy):
-        raise ValueError(
-            "finite-optimal stage indices are undefined past the solution "
-            "horizon; use a fixed-horizon run or the concatenated policy"
-        )
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = min(cfg.reps, MAX_CHUNK)
     for lo in range(0, cfg.reps, chunk):

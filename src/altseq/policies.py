@@ -76,10 +76,8 @@ class FiniteOptimalPolicy(Policy):
         self.n = solution.n
 
     def threshold(self, i: int, y):
-        if not 1 <= i <= self.n:
-            raise ValueError(f"step index {i} outside 1..{self.n}")
         sol = self.solution
-        return np.interp(y, sol.ys, sol.threshold_table[i - 1])
+        return np.interp(y, sol.ys, sol.threshold_row(i))
 
 
 def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):

@@ -12,40 +12,26 @@ ORACLE_MAX_LENGTH = 20
 
 
 def longest_alternating(values: Sequence[float]) -> int:
-    """Length of the longest alternating subsequence, by a single linear scan.
+    """Length of the longest alternating subsequence, by one greedy scan.
 
-    The scan counts maximal monotone runs (plateaus are skipped, so equal
-    consecutive values never open or close a run). One element per run
-    boundary is optimal, which gives ``runs + 1`` when the sequence starts
-    by rising and ``runs`` when it starts by falling, since a falling start
-    costs the would-be first ascent.
+    The scan keeps the last kept value and the direction it wants next,
+    starting with a rise. A strict move in that direction counts and flips
+    the direction; a strict move the other way replaces the kept value (a
+    lower trough or a higher peak only helps); a tie does nothing. So the
+    kept value is always the latest one.
 
     Returns 0 for an empty sequence and 1 for any sequence with no strict
-    ascent or descent.
+    ascent.
     """
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         return 0
-    runs = 0
-    first_dir = 0
-    last_dir = 0
-    prev = values[0]
-    for v in values[1:]:
-        if v > prev:
-            d = 1
-        elif v < prev:
-            d = -1
-        else:
-            d = 0
-        if d != 0 and d != last_dir:
-            runs += 1
-            if first_dir == 0:
-                first_dir = d
-            last_dir = d
-        prev = v
-    if runs == 0:
-        return 1
-    return runs + (1 if first_dir > 0 else 0)
+    count, kept, rising = 1, values[0], True
+    for v in values:
+        if v > kept if rising else v < kept:
+            count += 1
+            rising = not rising
+        kept = v
+    return count
 
 
 def longest_alternating_oracle(values: Sequence[float]) -> int:
@@ -86,14 +72,7 @@ def longest_alternating_oracle(values: Sequence[float]) -> int:
 
 def is_alternating(values: Sequence[float]) -> bool:
     """True if the whole sequence strictly alternates starting with an ascent."""
-    for idx in range(1, len(values)):
-        if idx % 2 == 1:
-            if not values[idx] > values[idx - 1]:
-                return False
-        else:
-            if not values[idx] < values[idx - 1]:
-                return False
-    return True
+    return longest_alternating(values) == len(values)
 
 
 def permutation_moments(n: int) -> tuple[float, float]:

@@ -130,6 +130,14 @@ def test_simulate_rejects_two_horizons(capsys):
     assert code == 2
 
 
+def test_simulate_finite_optimal_rejects_a_geometric_horizon(capsys):
+    code = main(
+        ["simulate", "--policy", "finite-optimal", "--n", "10", "--rho", "0.9"]
+    )
+    assert code == 2
+    assert "exactly one" in capsys.readouterr().err
+
+
 def test_simulate_rejects_stray_xi(capsys):
     code, _ = run_cli(
         capsys, "simulate", "--policy", "greedy", "--n", "10", "--xi", "0.2"

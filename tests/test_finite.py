@@ -24,6 +24,19 @@ def test_horizon_validation():
         optimal_expected(-3)
 
 
+def test_table_budget_is_checked_before_allocating(monkeypatch):
+    from altseq import _bellman
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(_bellman, "mapped_zeros", allocate)
+    with pytest.raises(ValueError, match="too large"):
+        solve_finite(300_000)
+    with pytest.raises(ValueError, match="too large"):
+        solve_finite(1000, grid_size=20_000)
+
+
 def test_single_observation_is_exact():
     sol = solve_finite(1, grid_size=101)
     assert np.max(np.abs(sol.value_row(1) - (1 - sol.ys))) < 1e-12

@@ -31,11 +31,8 @@ def test_xi0_closed_values():
 
 
 def test_flat_regime_boundary():
-    from altseq.geometric import FLAT_REGIME_RHO
-
-    assert FLAT_REGIME_RHO == pytest.approx(2 - SQRT2, rel=1e-15)
-    assert xi0_closed(FLAT_REGIME_RHO - 1e-6) == 0.0
-    assert xi0_closed(FLAT_REGIME_RHO + 1e-6) > 0.0
+    assert xi0_closed(2 - SQRT2 - 1e-6) == 0.0
+    assert xi0_closed(2 - SQRT2 + 1e-6) > 0.0
     # raw formula is about -0.121 at rho=0.5; the clamp takes over
     assert xi0_closed(0.5) == 0.0
     # approaching rho=1 the threshold tends to 1 - 1/sqrt(2)

@@ -47,19 +47,41 @@ def test_config_validation(sol_n10):
 
 def test_horizon_policy_mismatch(sol_n10):
     policy = FiniteOptimalPolicy(sol_n10)
-    cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=7)
     with pytest.raises(ValueError):
+        cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=7)
         run_fixed_horizon(cfg)
-    cfg = SimulationConfig(reps=10, seed=1, policy=policy, rho=0.9)
     with pytest.raises(ValueError):
+        cfg = SimulationConfig(reps=10, seed=1, policy=policy, rho=0.9)
         run_geometric_horizon(cfg)
 
 
 def test_concatenated_is_geometric_only(sol_n10):
     policy = ConcatenatedPolicy(sol_n10)
-    cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=50)
     with pytest.raises(ValueError):
+        cfg = SimulationConfig(reps=10, seed=1, policy=policy, n=50)
         run_fixed_horizon(cfg)
+
+
+@pytest.mark.parametrize(
+    "kind, horizon, fits",
+    [
+        ("finite", {"n": 10}, True),
+        ("finite", {"n": 7}, False),
+        ("finite", {"n": 11}, False),
+        ("finite", {"rho": 0.9}, False),
+        ("concat", {"rho": 0.9}, True),
+        ("concat", {"n": 10}, False),
+        ("concat", {"n": 50}, False),
+    ],
+)
+def test_config_checks_that_policy_and_horizon_fit(sol_n10, kind, horizon, fits):
+    make = {"finite": FiniteOptimalPolicy, "concat": ConcatenatedPolicy}[kind]
+    policy = make(sol_n10)
+    if fits:
+        SimulationConfig(reps=10, seed=1, policy=policy, **horizon)
+    else:
+        with pytest.raises(ValueError, match="needs"):
+            SimulationConfig(reps=10, seed=1, policy=policy, **horizon)
 
 
 def test_wrong_runner_for_horizon():
