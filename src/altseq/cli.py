@@ -1,5 +1,7 @@
 """Command-line front end: solve, simulate, compare, emit CSV/JSON.
 
+Each command computes its result, (payload, rows) with rows None outside
+simulations; _run alone checks the output path, renders and writes.
 Exit codes: 0 success, 2 invalid arguments, 3 solver non-convergence.
 JSON output rounds every float to 9 significant digits with a stable key
 order, so re-parsing and re-emitting a result is byte-identical. CSV output
@@ -64,54 +66,27 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     return rows
 
 
-def emit_keyvalue_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for key, value in _flatten(_round9(payload)):
-        writer.writerow([key, value])
-    return buf.getvalue()
-
-
 #: Simulation row columns: the first five describe the run, the rest its result.
 RUN_COLUMNS = ["policy", "horizon_kind", "horizon_param", "reps", "seed"]
 SIM_CSV_HEADER = RUN_COLUMNS + ["mean", "variance", "std_error", "rate"]
 
 
-def emit_rows_csv(rows: list[dict]) -> str:
+def _render(payload: dict, rows: Optional[list[dict]], form: str) -> str:
+    """The result as "json", simulation "rows" CSV, key/value "csv" or "lines"."""
+    if form == "json":
+        return emit_json(payload)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=SIM_CSV_HEADER, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _round9(row[k]) for k in SIM_CSV_HEADER})
-    return buf.getvalue()
-
-
-def _human_lines(payload: dict) -> str:
-    rows = _flatten(_round9(payload))
-    width = max(len(k) for k, _ in rows)
-    return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)
-
-
-def _deliver(payload: dict, args, rows: Optional[list[dict]] = None) -> None:
-    """Route a result per --json and --out; main has checked the --out path.
-
-    Simulation results pass their rows: CSV keeps the fixed row schema and is
-    the default stdout form. Other results print as key/value lines or CSV.
-    """
-    if args.out.endswith(".json") if args.out else args.json:
-        text = emit_json(payload)
-    elif rows is not None:
-        text = emit_rows_csv(rows)
-    elif args.out:
-        text = emit_keyvalue_csv(payload)
-    else:
-        text = _human_lines(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if form == "rows":
+        writer = csv.DictWriter(buf, fieldnames=SIM_CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_round9(rows))
+        return buf.getvalue()
+    items = _flatten(_round9(payload))
+    if form == "csv":
+        csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *items])
+        return buf.getvalue()
+    width = max(len(k) for k, _ in items)
+    return "".join(f"{k:<{width}}  {v}\n" for k, v in items)
 
 
 def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
@@ -135,7 +110,7 @@ def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
     }
 
 
-def cmd_offline(args) -> int:
+def cmd_offline(args) -> tuple[dict, Optional[list[dict]]]:
     result = montecarlo.run_offline(args.n, args.reps, args.seed)
     payload = {
         "command": "offline",
@@ -149,11 +124,10 @@ def cmd_offline(args) -> int:
         mean_formula, var_formula = permutation_moments(args.n)
         payload["mean_formula"] = mean_formula
         payload["variance_formula"] = var_formula
-    _deliver(payload, args)
-    return 0
+    return payload, None
 
 
-def cmd_geometric(args) -> int:
+def cmd_geometric(args) -> tuple[dict, Optional[list[dict]]]:
     grid = geometric.solve_flipped(args.rho, args.grid, args.tol)
     xi_closed = geometric.xi0_closed(args.rho)
     payload = {
@@ -178,11 +152,10 @@ def cmd_geometric(args) -> int:
             "threshold_form": geometric.value_threshold_form(args.rho),
             "flat_form": geometric.value_flat_form(args.rho),
         }
-    _deliver(payload, args)
-    return 0
+    return payload, None
 
 
-def cmd_finite(args) -> int:
+def cmd_finite(args) -> tuple[dict, Optional[list[dict]]]:
     sol = finite.solve_finite(args.n, args.grid)
     value = float(sol.value_table[0, 0])
     lower = (2.0 - SQRT2) * args.n
@@ -199,8 +172,7 @@ def cmd_finite(args) -> int:
     if args.dump_tables:
         _dump_tables(sol, args.dump_tables)
         payload["tables"] = args.dump_tables
-    _deliver(payload, args)
-    return 0
+    return payload, None
 
 
 def _dump_tables(sol, path: str) -> None:
@@ -216,7 +188,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     """Resolve --policy plus flags into (policy, label, horizon).
 
     horizon holds the n and rho keywords of SimulationConfig, which checks
-    that exactly one is set and that the policy suits it.
+    that the policy suits it; the horizon rule is checked before a solve.
     """
     name = args.policy
     if args.xi is not None and name != "threshold":
@@ -226,6 +198,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
             raise ValueError(
                 "concat needs --rho (horizon) and --n (block solution horizon)"
             )
+        montecarlo.check_run_horizon(None, args.rho)
         policy = ConcatenatedPolicy(finite.solve_finite(args.n, args.grid))
         return policy, f"concat(n={args.n})", {"rho": args.rho}
     if name == "geometric-optimal":
@@ -240,6 +213,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     if name == "finite-optimal":
         if args.n is None:
             raise ValueError("finite-optimal needs --n")
+        montecarlo.check_run_horizon(**horizon)
         solution = finite.solve_finite(args.n, args.grid)
         return FiniteOptimalPolicy(solution), name, horizon
     if name == "threshold":
@@ -254,7 +228,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     return FixedThresholdPolicy(xi), label, horizon
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, Optional[list[dict]]]:
     policy, label, horizon = _build_policy(args)
     cfg = montecarlo.SimulationConfig(
         reps=args.reps, seed=args.seed, policy=policy, **horizon
@@ -266,11 +240,10 @@ def cmd_simulate(args) -> int:
         "config": {**config, "grid": args.grid},
         "result": row,
     }
-    _deliver(payload, args, [row])
-    return 0
+    return payload, [row]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[dict, Optional[list[dict]]]:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
     finite.check_table_budget(n_finite, args.grid)  # refuse before any simulation
     xi_star = 1.0 - 1.0 / SQRT2
@@ -301,8 +274,7 @@ def cmd_compare(args) -> int:
         },
         "rows": rows,
     }
-    _deliver(payload, args, rows)
-    return 0
+    return payload, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,15 +332,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    # Open every output path for appending before the command runs: an
-    # unwritable path fails at once, an existing file is not truncated, and
-    # a file created here is removed again if the command fails.
+    """Run args.func, then render its result and write it to --out or stdout.
+
+    Every output path is checked first and opened for appending: an
+    unwritable path fails before any work, an existing file is not
+    truncated, and a file created here is removed again if the run fails.
+    """
+    if args.out and not args.out.endswith((".json", ".csv")):
+        raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
     paths = [p for p in (args.out, getattr(args, "dump_tables", None)) if p]
     created = [p for p in paths if not os.path.exists(p)]
     try:
         for path in paths:
             open(path, "a").close()
-        return args.func(args)
+        payload, rows = args.func(args)
+        if args.out.endswith(".json") if args.out else args.json:
+            form = "json"
+        elif rows is not None:  # simulation rows keep their CSV schema
+            form = "rows"
+        else:
+            form = "csv" if args.out else "lines"
+        text = _render(payload, rows, form)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except BaseException:
         for path in filter(os.path.exists, created):
             os.remove(path)
@@ -382,8 +372,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.out and not args.out.endswith((".json", ".csv")):
-            raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
         return _run(args)
     except geometric.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,25 +221,13 @@ def solve_two_state(
 
 
 def _threshold_from_values(values: np.ndarray, ys: np.ndarray, rho: float) -> float:
-    # Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y) on [0, 1/2]: a
-    # grid scan plus linear interpolation inside the straddling cell. If Delta
-    # is positive on all of [0, 1/2] the acceptance condition already holds
-    # at x = y for every state and the threshold is 0.
-    # 1 - ys[k] is itself a grid point, so no interpolation is needed here.
+    # Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y), capped at 1/2.
+    # Delta is non-decreasing as v is non-increasing, and needs no
+    # interpolation: 1 - ys[k] is a grid point. Delta >= 0 from y = 0 means
+    # the acceptance condition holds at x = y for every state: threshold 0.
     delta = 1.0 + rho * values[::-1] - rho * values
-    # Delta(1/2) = 1 exactly, so scanning one point past 1/2 guarantees the
-    # straddling cell is present even when 1/2 is not a grid point.
-    half = min(int(np.searchsorted(ys, 0.5, side="right")) + 1, ys.size)
-    d = delta[:half]
-    if d[0] >= 0.0:
-        return 0.0
-    nonneg = np.nonzero(d >= 0.0)[0]
-    if nonneg.size == 0:
-        return 0.0
-    k = int(nonneg[0])
-    y0, y1 = ys[k - 1], ys[k]
-    d0, d1 = d[k - 1], d[k]
-    return float(min(y0 + (y1 - y0) * (-d0) / (d1 - d0), 0.5))
+    xi = _bellman.first_point_at_least(delta, ys, ys[1] - ys[0], 0.0)
+    return float(min(xi, 0.5))
 
 
 def xi0_closed(rho: float) -> float:

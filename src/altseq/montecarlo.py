@@ -40,6 +40,16 @@ def _check_run(reps: int, seed: int) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+def check_run_horizon(n: Optional[int], rho: Optional[float]) -> None:
+    """Exactly one of a fixed horizon n or a geometric one rho, and valid."""
+    if (n is None) == (rho is None):
+        raise ValueError("exactly one of n or rho must be given")
+    if n is not None:
+        check_horizon(n)
+    if rho is not None:
+        check_rho(rho)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """One reproducible run: a policy, a horizon, replicates, and a seed.
@@ -57,12 +67,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_run(self.reps, self.seed)
-        if (self.n is None) == (self.rho is None):
-            raise ValueError("exactly one of n or rho must be given")
-        if self.n is not None:
-            check_horizon(self.n)
-        if self.rho is not None:
-            check_rho(self.rho)
+        check_run_horizon(self.n, self.rho)
         if isinstance(self.policy, FiniteOptimalPolicy) and self.policy.n != self.n:
             raise ValueError(
                 f"the finite-optimal policy solved for n={self.policy.n} "

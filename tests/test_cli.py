@@ -138,6 +138,29 @@ def test_simulate_finite_optimal_rejects_a_geometric_horizon(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["finite-optimal", "--n", "9000", "--rho", "0.9"],
+         "error: exactly one of n or rho must be given\n"),
+        (["concat", "--rho", "1.5", "--n", "9000"],
+         "error: discount factor must satisfy 0 < rho < 1, got 1.5\n"),
+    ],
+    ids=["finite-optimal", "concat"],
+)
+def test_simulate_checks_the_horizon_before_solving(
+    monkeypatch, capsys, argv, message
+):
+    import altseq.cli as cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the horizon check")
+
+    monkeypatch.setattr(cli.finite, "solve_finite", solve)
+    assert main(["simulate", "--policy", *argv]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_simulate_rejects_stray_xi(capsys):
     code, _ = run_cli(
         capsys, "simulate", "--policy", "greedy", "--n", "10", "--xi", "0.2"

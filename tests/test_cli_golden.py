@@ -1,0 +1,101 @@
+"""Golden CLI output: exit code, stdout, stderr and written files, byte for byte.
+
+Each case runs main in an empty directory with relative paths, and its
+digest covers everything the run leaves behind. Multi-step geometric solves
+are left out: their residual digits depend on the LAPACK build's least
+squares. The README examples are run as well, with --reps capped at 500.
+"""
+
+import hashlib
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from altseq.cli import main
+
+SIM = ["--reps", "50", "--seed", "3"]
+
+CASES = {
+    "offline-lines": ["offline", "--n", "20", "--reps", "50", "--seed", "2"],
+    "offline-json": ["offline", "--n", "20", "--reps", "50", "--seed", "2", "--json"],
+    "finite-lines": ["finite", "--n", "20", "--grid", "101"],
+    "finite-json": ["finite", "--n", "20", "--grid", "101", "--json"],
+    "geometric-lines": ["geometric", "--rho", "0.9", "--grid", "101", "--tol", "1e10"],
+    "geometric-json": [
+        "geometric", "--rho", "0.9", "--grid", "101", "--tol", "1e10", "--json"
+    ],
+    "simulate-rows": ["simulate", "--policy", "greedy", "--n", "20", *SIM],
+    "simulate-json": [
+        "simulate", "--policy", "geometric-optimal", "--rho", "0.8", *SIM, "--json"
+    ],
+    "compare-rows": ["compare", "--n", "20", "--grid", "101", *SIM],
+    "compare-json": ["compare", "--n", "20", "--grid", "101", *SIM, "--json"],
+    "simulate-out-json": [
+        "simulate", "--policy", "timid", "--rho", "0.8", *SIM, "--out", "r.json"
+    ],
+    "simulate-out-csv": [
+        "simulate", "--policy", "timid", "--rho", "0.8", *SIM, "--out", "r.csv"
+    ],
+    "finite-out-json": ["finite", "--n", "10", "--grid", "51", "--out", "r.json"],
+    "offline-out-csv": ["offline", "--n", "20", *SIM, "--out", "r.csv"],
+    "dump-tables": ["finite", "--n", "3", "--grid", "51", "--dump-tables", "t.csv"],
+    "bad-suffix": ["simulate", "--policy", "greedy", "--n", "5", "--out", "r.txt"],
+    "two-horizons": ["simulate", "--policy", "greedy", "--n", "10", "--rho", "0.5"],
+    "over-budget": ["finite", "--n", "20000", "--grid", "2001"],
+}
+
+GOLDEN = {
+    "offline-lines": "7c14ffb3dceed7380f6061fee077330072e2ee939fd6393c841b75c845ed497f",
+    "offline-json": "857bb88ccc5df1dd534a764a4fbd91d1434fde14edf02c7b9c0405aae90575c1",
+    "finite-lines": "7519dcdfdf2d1ba0f7f75f9ba7e733cd5152d6e1c4317eaa8f275b0b5b06e0e8",
+    "finite-json": "79ab686cf55d87b4875a411946f1ab26a5291a4461c4acbc7d8f98dfbac22af4",
+    "geometric-lines": "257d4d2141b9dfacd582de2a0cb8a56c2d01a79f443d05a08a7d87391f457046",
+    "geometric-json": "c2be283b760a72c90ed0fd64cdffc9341c487983e143ed68e52923aa0e5813fb",
+    "simulate-rows": "65fb3cf2bc6649b106256fc866a4d7b7a79915b05f4d73fbc5663ae99a2cbe4f",
+    "simulate-json": "b1fd83d160567070791df3296018e009dc9c1c03af76f5194da8da8e6ec9755d",
+    "compare-rows": "5c396bb7f289e90bc0cc686eaa3c0f38caffa7c7f78bcc1aa9d33366b10bbb95",
+    "compare-json": "404cdb2cb6e30bef868d71cab7adb3c6005435f5396c9836835a3ec551e76bf3",
+    "simulate-out-json": "f3273c378cd416936ad940930c0d29d8d65ff0b3f04bb060d19313fb7285efee",
+    "simulate-out-csv": "f8f41ecdcc90bfe2f5aaad6ece27126de7f4878282d5da0e0fa0e334395a6bd0",
+    "finite-out-json": "0424cdcc009b7cd867ac490589eefb5b6828fb1840e480ed50636e0d5cebfff2",
+    "offline-out-csv": "ee7bbf88db2000c8dfc41006bcf8a8b0f80b9778fb3225fbe517d0f6c7976129",
+    "dump-tables": "b54e2cf4c7974eef39258daafbbb2ebcbc57dc96572fd4a446819a89e9ea6f35",
+    "bad-suffix": "63c7352bb8fd73fd159cfdd8745a2b2324e7f325209058a8e1082ccc765355af",
+    "two-horizons": "b1ca6473f5ac7c308685e22d225f6f34f25c1c6618098a5b3365fa8297194491",
+    "over-budget": "6aa271a22784cfe24b2001aeccb9bd58cb23d7ff744aa3a7db6dc3876de07396",
+}
+
+
+def run_digest(argv, capsys) -> str:
+    """sha256 of the exit code, stdout, stderr and every file written."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    parts = [str(code), out, err]
+    for path in sorted(Path().iterdir()):
+        parts += [path.name, path.read_text()]
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden_digest(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_digest(CASES[case], capsys) == GOLDEN[case]
+
+
+def readme_commands() -> list[str]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("altseq ")]
+
+
+def test_readme_lists_commands():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_exits_0(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    line = re.sub(r"--reps (\d+)", lambda m: f"--reps {min(int(m[1]), 500)}", line)
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
