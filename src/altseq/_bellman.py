@@ -1,11 +1,13 @@
 """Exact Bellman-operator quadrature on a uniform grid.
 
-All operators treat the stored vector as a piecewise-linear interpolant and
-integrate it exactly: cumulative trapezoid sums at the nodes, a quadratic
-in-cell correction for partial cells, and the max{constant, linear} crossover
-located by linear interpolation inside the straddling cell. This keeps every
-operator a monotone contraction on the discretized space and avoids
-quadrature noise near the kink.
+Every operator is the kernel _step: own + int_0^upper max{c, g(u)} du for a
+non-increasing g, where max{c, g} is g up to one crossover and c after it.
+The stored vector is treated as a piecewise-linear interpolant and
+integrated exactly: cumulative trapezoid sums at the nodes, a quadratic
+in-cell correction for partial cells, and the crossover located by linear
+interpolation inside the straddling cell. This keeps every operator a
+monotone contraction on the discretized space and avoids quadrature noise
+near the kink.
 """
 
 from __future__ import annotations
@@ -84,20 +86,19 @@ def last_point_at_least(
     return np.where(targets > g[0], 0.0, out)
 
 
-def first_point_at_least(
-    g: np.ndarray, ys: np.ndarray, step: float, targets: np.ndarray
-) -> np.ndarray:
-    """For non-decreasing g: the smallest x with g(x) >= target, else 1."""
-    M = g.size
-    k = np.searchsorted(g, targets, side="left")
-    k = np.clip(k, 0, M - 1)
-    km = np.maximum(k - 1, 0)
-    denom = g[k] - g[km]
-    frac = np.where(
-        (k > 0) & (denom > 0), (targets - g[km]) / np.where(denom > 0, denom, 1.0), 0.0
-    )
-    out = np.where(k == 0, 0.0, ys[km] + step * np.clip(frac, 0.0, 1.0))
-    return np.where(targets > g[-1], 1.0, out)
+def _step(
+    own: np.ndarray, g: np.ndarray, c: np.ndarray, upper: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Bellman-step kernel: (own + int_0^upper max{c, g(u)} du, crossover).
+
+    For non-increasing g the crossover u* is the largest u with g(u) >= c;
+    own, c and upper are given per grid point.
+    """
+    step = ys[1] - ys[0]
+    crossover = last_point_at_least(g, ys, step, c)
+    m = np.minimum(crossover, upper)
+    G = cumulative_integral(g, step)
+    return own + integral_to(G, g, ys, step, m) + (upper - m) * c, crossover
 
 
 def apply_flipped(
@@ -107,20 +108,13 @@ def apply_flipped(
 
         (Tw)(y) = rho*y*w(y) + int_y^1 max{rho*w(y), 1 + rho*w(1-x)} dx.
 
-    After x -> 1-x the integral runs over [0, 1-y] with the non-increasing
-    integrand g(u) = 1 + rho*w(u), so max{c, g} equals g up to the crossover
-    u* and c after it. Exact for the piecewise-linear interpolant of w; rho=1
+    After x -> 1-x it is one kernel step over [0, 1-y] with g = 1 + rho*w,
+    non-increasing. Exact for the piecewise-linear interpolant of w; rho=1
     gives one finite-horizon backward-induction stage. Returns (Tw, f): the
-    same crossover gives the acceptance threshold f(y) = max(y, 1 - u*).
+    same crossover u* gives the acceptance threshold f(y) = max(y, 1 - u*).
     """
-    step = ys[1] - ys[0]
-    g = 1.0 + rho * values
-    G = cumulative_integral(g, step)
     c = rho * values
-    crossover = last_point_at_least(g, ys, step, c)
-    upper = 1.0 - ys
-    m = np.minimum(crossover, upper)
-    tw = rho * ys * values + integral_to(G, g, ys, step, m) + (upper - m) * c
+    tw, crossover = _step(rho * ys * values, 1.0 + c, c, 1.0 - ys, ys)
     return tw, np.maximum(ys, 1.0 - crossover)
 
 
@@ -136,26 +130,15 @@ def apply_two_state(
         rho*s*v0(s) + int_s^1 max{rho*v0(s), 1 + rho*v1(x)} dx
     v_after_max (a local maximum at s; non-decreasing):
         rho*(1-s)*v1(s) + int_0^s max{rho*v1(s), 1 + rho*v0(x)} dx
+
+    Each half is one kernel step: after x -> 1-x the first integrates
+    g = 1 + rho*v1(1-u) over [0, 1-s], the second g = 1 + rho*v0 over
+    [0, s]. Neither assumes that v0 and v1 reflect each other, so this
+    operator stays an independent check of the single-variable one.
     """
-    step = ys[1] - ys[0]
     v0, v1 = v_after_min, v_after_max
-
-    g1 = 1.0 + rho * v1  # non-decreasing
-    G1 = cumulative_integral(g1, step)
-    c0 = rho * v0
-    cross0 = first_point_at_least(g1, ys, step, c0)
-    m0 = np.maximum(cross0, ys)  # integrand is c0 on [s, m0], g1 on [m0, 1]
-    int0 = (m0 - ys) * c0 + (G1[-1] - integral_to(G1, g1, ys, step, m0))
-    new0 = rho * ys * v0 + int0
-
-    g0 = 1.0 + rho * v0  # non-increasing
-    G0 = cumulative_integral(g0, step)
-    c1 = rho * v1
-    cross1 = last_point_at_least(g0, ys, step, c1)
-    m1 = np.minimum(cross1, ys)  # integrand is g0 on [0, m1], c1 on [m1, s]
-    int1 = integral_to(G0, g0, ys, step, m1) + (ys - m1) * c1
-    new1 = rho * (1.0 - ys) * v1 + int1
-
+    new0, _ = _step(rho * ys * v0, 1.0 + rho * v1[::-1], rho * v0, 1.0 - ys, ys)
+    new1, _ = _step(rho * (1.0 - ys) * v1, 1.0 + rho * v0, rho * v1, ys, ys)
     return new0, new1
 
 

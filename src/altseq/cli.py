@@ -188,7 +188,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     """Resolve --policy plus flags into (policy, label, horizon).
 
     horizon holds the n and rho keywords of SimulationConfig, which checks
-    that the policy suits it; the horizon rule is checked before a solve.
+    that the policy suits it; the run's rules are checked before a solve.
     """
     name = args.policy
     if args.xi is not None and name != "threshold":
@@ -198,7 +198,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
             raise ValueError(
                 "concat needs --rho (horizon) and --n (block solution horizon)"
             )
-        montecarlo.check_run_horizon(None, args.rho)
+        montecarlo.check_run(args.reps, args.seed, rho=args.rho)
         policy = ConcatenatedPolicy(finite.solve_finite(args.n, args.grid))
         return policy, f"concat(n={args.n})", {"rho": args.rho}
     if name == "geometric-optimal":
@@ -213,7 +213,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     if name == "finite-optimal":
         if args.n is None:
             raise ValueError("finite-optimal needs --n")
-        montecarlo.check_run_horizon(**horizon)
+        montecarlo.check_run(args.reps, args.seed, **horizon)
         solution = finite.solve_finite(args.n, args.grid)
         return FiniteOptimalPolicy(solution), name, horizon
     if name == "threshold":
@@ -376,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except geometric.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

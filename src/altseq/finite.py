@@ -137,6 +137,7 @@ def solve_finite_two_state(
     so comparing the two verifies it.
     """
     n = check_horizon(n)
+    check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
     after_min = np.zeros((n + 1, grid_size))
     after_max = np.zeros((n + 1, grid_size))

@@ -221,13 +221,13 @@ def solve_two_state(
 
 
 def _threshold_from_values(values: np.ndarray, ys: np.ndarray, rho: float) -> float:
-    # Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y), capped at 1/2.
-    # Delta is non-decreasing as v is non-increasing, and needs no
-    # interpolation: 1 - ys[k] is a grid point. Delta >= 0 from y = 0 means
-    # the acceptance condition holds at x = y for every state: threshold 0.
+    # Smallest root of Delta(y) = 1 + rho*v(1-y) - rho*v(y), capped at 1/2;
+    # v(1-y) needs no interpolation, 1 - ys[k] is a grid point. Delta is
+    # non-decreasing, so the root is 1 - u* for the last u* with
+    # Delta(1-u) >= 0; Delta >= 0 from y = 0 means threshold 0.
     delta = 1.0 + rho * values[::-1] - rho * values
-    xi = _bellman.first_point_at_least(delta, ys, ys[1] - ys[0], 0.0)
-    return float(min(xi, 0.5))
+    u = _bellman.last_point_at_least(delta[::-1], ys, ys[1] - ys[0], 0.0)
+    return float(min(1.0 - u, 0.5))
 
 
 def xi0_closed(rho: float) -> float:

@@ -33,15 +33,14 @@ MAX_CHUNK = 8192
 CHUNK_TARGET_ELEMENTS = 4_000_000
 
 
-def _check_run(reps: int, seed: int) -> None:
+def check_run(
+    reps: int, seed: int, n: Optional[int] = None, rho: Optional[float] = None
+) -> None:
+    """Valid reps and seed, then exactly one valid horizon: n fixed or rho."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-def check_run_horizon(n: Optional[int], rho: Optional[float]) -> None:
-    """Exactly one of a fixed horizon n or a geometric one rho, and valid."""
     if (n is None) == (rho is None):
         raise ValueError("exactly one of n or rho must be given")
     if n is not None:
@@ -66,8 +65,7 @@ class SimulationConfig:
     rho: Optional[float] = None
 
     def __post_init__(self):
-        _check_run(self.reps, self.seed)
-        check_run_horizon(self.n, self.rho)
+        check_run(self.reps, self.seed, self.n, self.rho)
         if isinstance(self.policy, FiniteOptimalPolicy) and self.policy.n != self.n:
             raise ValueError(
                 f"the finite-optimal policy solved for n={self.policy.n} "
@@ -192,8 +190,7 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
 
 def run_offline(n: int, reps: int, seed: int) -> RunResult:
     """Full-knowledge baseline: the offline statistic on each replicate."""
-    check_horizon(n)
-    _check_run(reps, seed)
+    check_run(reps, seed, n)
     counts = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         # tolist keeps the scan in plain-float arithmetic, ~10x faster

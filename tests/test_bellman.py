@@ -1,4 +1,4 @@
-"""The fused Bellman step: one crossover search gives the value and the threshold."""
+"""The Bellman-step kernel: one crossover search gives the value and the threshold."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -64,6 +64,16 @@ def test_operator_is_a_rho_contraction(operands, rho):
     t_v, _ = _bellman.apply_flipped(v, ys, rho)
     gap = np.max(np.abs(t_w - t_v))
     assert gap <= rho * np.max(np.abs(w - v)) + _rounding(t_w, t_v)
+
+
+@settings(deadline=None)
+@given(operands=operand_pairs(), rho=RHO)
+def test_two_state_operator_keeps_a_reflected_pair_reflected(operands, rho):
+    ys, w, _ = operands
+    tw, _ = _bellman.apply_flipped(w, ys, rho)
+    after_min, after_max = _bellman.apply_two_state(w, w[::-1], ys, rho)
+    assert np.max(np.abs(after_min - tw)) <= _rounding(tw)
+    assert np.max(np.abs(after_max - tw[::-1])) <= _rounding(tw)
 
 
 @settings(deadline=None)

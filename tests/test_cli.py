@@ -145,8 +145,12 @@ def test_simulate_finite_optimal_rejects_a_geometric_horizon(capsys):
          "error: exactly one of n or rho must be given\n"),
         (["concat", "--rho", "1.5", "--n", "9000"],
          "error: discount factor must satisfy 0 < rho < 1, got 1.5\n"),
+        (["finite-optimal", "--n", "9000", "--reps", "0"],
+         "error: reps must be >= 1, got 0\n"),
+        (["concat", "--rho", "0.9", "--n", "9000", "--seed", "-1"],
+         "error: seed must fit in an unsigned 64-bit integer\n"),
     ],
-    ids=["finite-optimal", "concat"],
+    ids=["finite-optimal", "concat", "finite-optimal-reps", "concat-seed"],
 )
 def test_simulate_checks_the_horizon_before_solving(
     monkeypatch, capsys, argv, message
@@ -316,6 +320,19 @@ def test_output_paths_are_checked_before_the_run(monkeypatch, tmp_path, capsys):
     assert main(argv + ["--out", f"{missing}/x.csv"]) == 2
     assert not tables.exists()
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_memory_error_exits_2_and_leaves_no_file(monkeypatch, tmp_path, capsys):
+    import altseq.cli as cli
+
+    def solve(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli.geometric, "solve_flipped", solve)
+    path = tmp_path / "result.json"
+    assert main(["geometric", "--rho", "0.9", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+    assert not path.exists()
 
 
 def test_failed_run_leaves_output_files_as_they_were(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Each case runs main in an empty directory with relative paths, and its
 digest covers everything the run leaves behind. Multi-step geometric solves
 are left out: their residual digits depend on the LAPACK build's least
-squares. The README examples are run as well, with --reps capped at 500.
+squares. The README examples are run as well, with --reps capped at 500 and
+the library example's replicates cut from 100_000 to 2_000.
 """
 
 import hashlib
@@ -99,3 +100,14 @@ def test_readme_command_exits_0(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     line = re.sub(r"--reps (\d+)", lambda m: f"--reps {min(int(m[1]), 500)}", line)
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_library_example_gives_its_documented_values():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block.replace("100_000", "2_000"), scope)
+    # the digits the comments print; the iteration count depends on LAPACK
+    assert f"{scope['grid'].values[0]:.4f}" == "6.0485"
+    assert f"{scope['grid'].xi_estimate:.5f}" == "0.24687"
+    assert f"{scope['sol'].value_table[0, 0]:.2f}" == "58.84"

@@ -28,13 +28,16 @@ def test_table_budget_is_checked_before_allocating(monkeypatch):
     from altseq import _bellman
 
     def allocate(*args, **kwargs):
-        raise AssertionError("allocated before the budget check")
+        raise AssertionError("allocated or swept before the budget check")
 
     monkeypatch.setattr(_bellman, "mapped_zeros", allocate)
+    monkeypatch.setattr(_bellman, "apply_two_state", allocate)
     with pytest.raises(ValueError, match="too large"):
         solve_finite(300_000)
     with pytest.raises(ValueError, match="too large"):
         solve_finite(1000, grid_size=20_000)
+    with pytest.raises(ValueError, match="too large"):
+        solve_finite_two_state(1000, grid_size=20_001)
 
 
 def test_single_observation_is_exact():
