@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from . import finite, geometric, montecarlo
-from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
+from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2, uniform_grid
 from .policies import (
     ConcatenatedPolicy,
     FiniteOptimalPolicy,
@@ -246,6 +246,7 @@ def cmd_simulate(args) -> tuple[dict, Optional[list[dict]]]:
 def cmd_compare(args) -> tuple[dict, Optional[list[dict]]]:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
     finite.check_table_budget(n_finite, args.grid)  # refuse before any simulation
+    uniform_grid(args.grid)  # the grid rule, also before any simulation
     xi_star = 1.0 - 1.0 / SQRT2
     finite_label = "finite-optimal" if n_finite == args.n else (
         f"finite-optimal(reduced n={n_finite})"
@@ -341,6 +342,8 @@ def _run(args) -> int:
     if args.out and not args.out.endswith((".json", ".csv")):
         raise ValueError(f"--out must end in .json or .csv, got {args.out!r}")
     paths = [p for p in (args.out, getattr(args, "dump_tables", None)) if p]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise ValueError("--out and --dump-tables must name different files")
     created = [p for p in paths if not os.path.exists(p)]
     try:
         for path in paths:

@@ -8,8 +8,8 @@ is: horizon draw first (geometric runs only), then the observations.
 
 A chunk of replicates is stored flat and step-major, its rows sorted longest
 first: the rows still live at step i form a prefix, and their observations
-are one contiguous slice. A chunk thus holds the sum of its horizons, not
-rows x longest horizon.
+are one contiguous slice. A chunk holds at most CHUNK_TARGET_ELEMENTS
+observations plus one row, and MAX_CHUNK bounds the streams held at once.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .finite import check_horizon
 from .policies import ConcatenatedPolicy, FiniteOptimalPolicy, Policy
 from .sequence import longest_alternating
 
-#: Upper bound on replicates simulated per lockstep chunk.
+#: Upper bound on the replicates of a chunk, and so on the streams held at once.
 MAX_CHUNK = 8192
-#: Target fixed-horizon chunk size, rows x n, in float64 elements. Geometric
-#: chunks are bounded by MAX_CHUNK alone and hold the sum of their horizons.
+#: Observations per chunk of either runner; a geometric one may add one row.
 CHUNK_TARGET_ELEMENTS = 4_000_000
 
 
@@ -120,22 +119,19 @@ def _aggregate(counts: np.ndarray) -> RunResult:
 def _simulate_batch(policy: Policy, flat: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Run a step-major chunk through the policy in lockstep; returns counts.
 
-    live[i-1] rows, a prefix of the longest-first order, are live at step i,
-    and their observations are the next live[i-1] entries of flat. Counts
-    come back in that order. Dead rows are stepped with active False.
+    live[i-1] rows, a prefix of the longest-first order, are live at step i;
+    their observations are the next live[i-1] entries of flat, and counts come
+    back in that order. Each step reads live[0] entries, so a ragged chunk ends
+    in live[0] - live[-1] spare slots; rows past the prefix are masked off.
     """
     rows = int(live[0])
     batch = policy.new_batch(rows)
     counts = np.zeros(rows, dtype=np.int64)
     index = np.arange(rows)
-    x = np.empty(rows)
     s = 0
     for i, k in enumerate(live, start=1):
-        if k == rows:
-            counts += policy.step_batch(batch, i, flat[s : s + k], None)
-        else:
-            x[:k] = flat[s : s + k]
-            counts += policy.step_batch(batch, i, x, index < k)
+        active = None if k == rows else index < k
+        counts += policy.step_batch(batch, i, flat[s : s + rows], active)
         s += k
     return counts
 
@@ -170,21 +166,22 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     if cfg.rho is None:
         raise ValueError("run_geometric_horizon needs a geometric-horizon config")
     counts = np.empty(cfg.reps, dtype=np.int64)
-    chunk = min(cfg.reps, MAX_CHUNK)
-    for lo in range(0, cfg.reps, chunk):
-        hi = min(lo + chunk, cfg.reps)
+    for lo in range(0, cfg.reps, MAX_CHUNK):
         # Streams wait, horizon drawn, until the sort order is known, so the
         # observations are drawn straight into their place.
-        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, hi)]
+        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, cfg.reps)[:MAX_CHUNK]]
         lengths = np.array([sample_horizon(rng, cfg.rho) for rng in rngs])
         order = np.argsort(-lengths, kind="stable")
-        # live[i-1] = rows with horizon >= i; step i starts at start[i-1]
-        live = np.bincount(lengths)[:0:-1].cumsum()[::-1]
-        start = np.concatenate(([0], live[:-1].cumsum()))
-        flat = mapped_zeros(int(live.sum()))
-        for p, r in enumerate(order):
-            flat[start[: lengths[r]] + p] = rngs[r].random(lengths[r])
-        counts[lo + order] = _simulate_batch(cfg.policy, flat, live)
+        # cut where the running sum of horizons crosses a multiple of the budget
+        sums = lengths[order].cumsum() // CHUNK_TARGET_ELEMENTS
+        for part in np.split(order, np.flatnonzero(np.diff(sums)) + 1):
+            # live[i-1] = rows with horizon >= i; step i starts at start[i-1]
+            live = np.bincount(lengths[part])[:0:-1].cumsum()[::-1]
+            start = np.concatenate(([0], live[:-1].cumsum()))
+            flat = mapped_zeros(int(live.sum() + live[0] - live[-1]))
+            for p, r in enumerate(part):
+                flat[start[: lengths[r]] + p] = rngs[r].random(lengths[r])
+            counts[lo + part] = _simulate_batch(cfg.policy, flat, live)
     return _aggregate(counts)
 
 

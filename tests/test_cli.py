@@ -322,6 +322,26 @@ def test_output_paths_are_checked_before_the_run(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+def test_one_file_for_out_and_dump_tables_exits_2(monkeypatch, tmp_path, capsys):
+    import altseq.cli as cli
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the output paths were checked")
+
+    monkeypatch.setattr(cli.finite, "solve_finite", solve)
+    path = tmp_path / "x.csv"
+    (tmp_path / "sub").mkdir()
+    argv = ["finite", "--n", "3", "--grid", "11", "--dump-tables", str(path)]
+    assert main(argv + ["--out", str(path)]) == 2
+    assert not path.exists()
+    path.write_bytes(b"stage,y\r\n1,0\n")
+    assert main(argv + ["--out", str(tmp_path / "sub" / ".." / "x.csv")]) == 2
+    assert path.read_bytes() == b"stage,y\r\n1,0\n"
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2
+    assert "--out" in err and "--dump-tables" in err
+
+
 def test_memory_error_exits_2_and_leaves_no_file(monkeypatch, tmp_path, capsys):
     import altseq.cli as cli
 
@@ -412,3 +432,15 @@ def test_compare_checks_table_budget_first(monkeypatch, capsys):
     code = main(["compare", "--n", "5000", "--grid", "20000", "--reps", "10"])
     assert code == 2
     assert "too large" in capsys.readouterr().err
+
+
+def test_compare_checks_the_grid_before_simulating(monkeypatch, capsys):
+    import altseq.cli as cli
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(cli.montecarlo, "run_fixed_horizon", simulate)
+    code = main(["compare", "--n", "10000", "--reps", "200", "--grid", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: grid_size must be >= 3, got 2\n"

@@ -237,7 +237,8 @@ def test_counts_match_recorded_digests(sol_n10):
 
 def test_geometric_chunk_memory_follows_the_drawn_horizons(monkeypatch):
     reps, seed, rho = 2048, 11, 0.995
-    total = sum(sample_horizon(replicate_rng(seed, r), rho) for r in range(reps))
+    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(reps)]
+    total = sum(lengths)
     cfg = SimulationConfig(
         reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
     )
@@ -255,9 +256,42 @@ def test_geometric_chunk_memory_follows_the_drawn_horizons(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mapped == [total]
+    # the horizons, then spare slots that keep the last steps' views full width
+    assert mapped == [total + reps - lengths.count(max(lengths))]
     # a chunk padded to its longest horizon would take about ten times this
     assert peak + 8 * total <= 3 * 8 * total
+
+
+def test_geometric_chunks_obey_the_element_budget(monkeypatch):
+    reps, seed, rho, budget = 2048, 11, 0.995, 50_000
+    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(reps)]
+    cfg = SimulationConfig(
+        reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
+    )
+    unpatched = run_geometric_horizon(cfg).per_rep_counts
+    mapped, lives = [], []
+    simulate_batch = montecarlo._simulate_batch
+
+    def mapped_zeros(shape):
+        mapped.append(shape)
+        return _bellman.mapped_zeros(shape)
+
+    def record_live(policy, flat, live):
+        lives.append(live)
+        return simulate_batch(policy, flat, live)
+
+    monkeypatch.setattr(montecarlo, "mapped_zeros", mapped_zeros)
+    monkeypatch.setattr(montecarlo, "_simulate_batch", record_live)
+    monkeypatch.setattr(montecarlo, "CHUNK_TARGET_ELEMENTS", budget)
+    counts = run_geometric_horizon(cfg).per_rep_counts
+    assert len(mapped) == len(lives) > 1
+    for size, live in zip(mapped, lives):
+        # live.size is the part's longest horizon, live[0] - live[-1] its spare slots
+        spare = int(live[0] - live[-1])
+        assert size == live.sum() + spare
+        assert size <= budget + live.size + spare
+    assert sum(int(live.sum()) for live in lives) == sum(lengths)
+    assert np.array_equal(counts, unpatched)
 
 
 def test_std_error_definition():

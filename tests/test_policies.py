@@ -81,6 +81,8 @@ def batch_counts(policy, X, lengths=None):
     order = np.argsort(-lengths, kind="stable")
     live = [int(np.count_nonzero(lengths >= i)) for i in range(1, lengths.max() + 1)]
     flat = np.concatenate([X[order[:k], i] for i, k in enumerate(live)])
+    # every step reads live[0] entries: spare slots keep the last views full
+    flat = np.concatenate([flat, np.zeros(live[0] - live[-1])])
     counts = np.empty(rows, dtype=np.int64)
     counts[order] = _simulate_batch(policy, flat, np.array(live))
     return counts
@@ -261,7 +263,7 @@ def test_batch_path_matches_scalar_path(
     i=st.integers(min_value=1, max_value=10),
 )
 def test_dead_rows_keep_their_state(sol_n10, seed, rows, i):
-    # The runner steps dead rows on whatever its reused buffer holds.
+    # The runner steps dead rows on whatever values its chunk holds there.
     rng = seeded_rng(seed)
     x = rng.random(rows)
     edge = rng.integers(0, 3, size=rows)
