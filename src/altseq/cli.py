@@ -97,17 +97,9 @@ def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
     else:
         result = montecarlo.run_geometric_horizon(cfg)
         kind, param, rate = "geometric", cfg.rho, result.mean * (1.0 - cfg.rho)
-    return {
-        "policy": label,
-        "horizon_kind": kind,
-        "horizon_param": param,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "mean": result.mean,
-        "variance": result.variance,
-        "std_error": result.std_error,
-        "rate": rate,
-    }
+    values = [label, kind, param, cfg.reps, cfg.seed,
+              result.mean, result.variance, result.std_error, rate]
+    return dict(zip(SIM_CSV_HEADER, values, strict=True))
 
 
 def cmd_offline(args) -> tuple[dict, Optional[list[dict]]]:

@@ -51,7 +51,6 @@ class FiniteSolution:
     """
 
     n: int
-    grid_size: int
     ys: np.ndarray
     value_table: np.ndarray
     threshold_table: np.ndarray
@@ -88,7 +87,6 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
         value_table[n - k], threshold_table[n - k] = w, f
     return FiniteSolution(
         n=n,
-        grid_size=grid_size,
         ys=ys,
         value_table=value_table,
         threshold_table=threshold_table,
@@ -139,8 +137,8 @@ def solve_finite_two_state(
     n = check_horizon(n)
     check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
-    after_min = np.zeros((n + 1, grid_size))
-    after_max = np.zeros((n + 1, grid_size))
+    after_min = _bellman.mapped_zeros((n + 1, grid_size))
+    after_max = _bellman.mapped_zeros((n + 1, grid_size))
     for i in range(n - 1, -1, -1):  # row index i holds stage i+1
         a, b = _bellman.apply_two_state(after_min[i + 1], after_max[i + 1], ys, 1.0)
         after_min[i] = a

@@ -41,6 +41,12 @@ def check_rho(rho: float) -> float:
     return float(rho)
 
 
+def check_xi(xi: float) -> float:
+    if not 0.0 <= xi <= 0.5:
+        raise ValueError(f"fixed threshold must lie in [0, 1/2], got {xi}")
+    return float(xi)
+
+
 @dataclass(frozen=True)
 class ValueFunctionGrid:
     """Solved single-variable value function on a uniform grid.
@@ -52,7 +58,6 @@ class ValueFunctionGrid:
     sup-norm distance from values to the exact fixed point on the grid.
     """
 
-    grid_size: int
     ys: np.ndarray
     values: np.ndarray
     xi_estimate: float
@@ -69,7 +74,6 @@ class TwoStateSolution:
     both surfaces.
     """
 
-    grid_size: int
     ys: np.ndarray
     v_after_min: np.ndarray
     v_after_max: np.ndarray
@@ -185,7 +189,6 @@ def solve_flipped(
         apply, np.zeros(grid_size), rho, tol, project=_nonnegative_non_increasing
     )
     return ValueFunctionGrid(
-        grid_size=grid_size,
         ys=ys,
         values=values,
         xi_estimate=_threshold_from_values(values, ys, rho),
@@ -210,7 +213,6 @@ def solve_two_state(
         apply, np.zeros(2 * grid_size), rho, tol
     )
     return TwoStateSolution(
-        grid_size=grid_size,
         ys=ys,
         v_after_min=values[:grid_size],
         v_after_max=values[grid_size:],
@@ -271,7 +273,7 @@ def fixed_threshold_value(rho: float, xi: float) -> float:
     This is the plateau value: the value function of the max{xi, y} rule is
     constant on [0, xi], so the fresh-start value equals its value at xi.
     """
-    rho = check_rho(rho)
+    rho, xi = check_rho(rho), check_xi(xi)
     return (2.0 - 2.0 * xi - rho + 2.0 * rho * xi - 2.0 * rho * xi * xi) / (
         2.0 * (1.0 - rho) * (1.0 - rho * xi)
     )
@@ -338,9 +340,7 @@ class ClosedFormDiagnostics:
 
 def closed_form_diagnostics(rho: float, xi: float) -> ClosedFormDiagnostics:
     """Evaluate the four closed forms and the residuals of their conditions."""
-    rho = check_rho(rho)
-    if not 0.0 <= xi <= 0.5:
-        raise ValueError(f"xi must lie in [0, 1/2], got {xi}")
+    rho, xi = check_rho(rho), check_xi(xi)
     a = fixed_threshold_value(rho, xi)      # V(xi)
     b = _reflected_value(rho, xi)           # V(1-xi)
     c = _slope_at_xi(rho, xi)               # V'(xi)

@@ -136,16 +136,12 @@ def _simulate_batch(policy: Policy, flat: np.ndarray, live: np.ndarray) -> np.nd
     return counts
 
 
-def _fixed_chunk(n: int, reps: int) -> int:
-    return max(1, min(reps, MAX_CHUNK, CHUNK_TARGET_ELEMENTS // max(n, 1)))
-
-
 def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     """Evaluate cfg.policy on n i.i.d. uniform observations per replicate."""
     if cfg.n is None:
         raise ValueError("run_fixed_horizon needs a fixed-horizon config")
     counts = np.empty(cfg.reps, dtype=np.int64)
-    chunk = _fixed_chunk(cfg.n, cfg.reps)
+    chunk = max(1, min(MAX_CHUNK, CHUNK_TARGET_ELEMENTS // cfg.n))
     for lo in range(0, cfg.reps, chunk):
         hi = min(lo + chunk, cfg.reps)
         flat = mapped_zeros(cfg.n * (hi - lo))

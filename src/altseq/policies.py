@@ -1,11 +1,12 @@
 """Selection policies over the flipped-state recursion.
 
 Every policy sees the chain Y with Y[0] = 0, selects observation x in state
-y when x >= threshold(i, y), and then jumps to 1 - x; a skip leaves the
-state unchanged. A tie at the threshold selects. Policies are immutable
-after construction and advance a batch of replicates in lockstep; the
-per-replicate state lives in the dict of arrays that new_batch returns, so
-replicates never share state.
+y when x >= its threshold, and then jumps to 1 - x; a skip leaves the state
+unchanged. A tie at the threshold selects. The threshold is threshold(i, y),
+except in ConcatenatedPolicy, where it also depends on the block position.
+Policies are immutable after construction and advance a batch of replicates
+in lockstep; the per-replicate state lives in the dict of arrays that
+new_batch returns, so replicates never share state.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .finite import FiniteSolution
-from .geometric import check_rho, xi0_closed
+from .geometric import check_xi, xi0_closed
 
 #: Seek threshold and regeneration band of the concatenated policy.
 SEEK_LEVEL = 5.0 / 6.0
@@ -26,7 +27,8 @@ class Policy:
     """Batch decision procedure; subclasses define the threshold rule."""
 
     def threshold(self, i: int, y):
-        """Acceptance threshold for observation i in state y (array or scalar)."""
+        """Acceptance threshold for observation i in state y (array or scalar);
+        ConcatenatedPolicy has none, as its threshold needs the block position."""
         raise NotImplementedError
 
     def new_batch(self, size: int) -> dict:
@@ -52,9 +54,7 @@ class FixedThresholdPolicy(Policy):
     anything feasible) and xi = 1/2 is the maximally timid rule."""
 
     def __init__(self, xi: float):
-        if not 0.0 <= xi <= 0.5:
-            raise ValueError(f"fixed threshold must lie in [0, 1/2], got {xi}")
-        self.xi = float(xi)
+        self.xi = check_xi(xi)
 
     def threshold(self, i: int, y):
         return np.maximum(self.xi, y)
@@ -64,7 +64,6 @@ class GeometricOptimalPolicy(FixedThresholdPolicy):
     """Optimal stationary rule for a geometric horizon: max(xi0(rho), y)."""
 
     def __init__(self, rho: float):
-        self.rho = check_rho(rho)
         super().__init__(xi0_closed(rho))
 
 
@@ -145,6 +144,5 @@ def stationary_rate(xi: float) -> float:
     per-step selection probability is (1 - 2*xi^2) / (2*(1 - xi)); it is
     maximized at xi = 1 - 1/sqrt(2), where it equals 2 - sqrt(2).
     """
-    if not 0.0 <= xi <= 0.5:
-        raise ValueError(f"threshold must lie in [0, 1/2], got {xi}")
+    xi = check_xi(xi)
     return (1.0 - 2.0 * xi * xi) / (2.0 * (1.0 - xi))

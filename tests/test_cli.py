@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,14 @@ def test_simulate_concat_needs_both_params(capsys):
 def test_simulate_threshold_needs_xi(capsys):
     code, _ = run_cli(capsys, "simulate", "--policy", "threshold", "--n", "100")
     assert code == 2
+
+
+def test_simulate_threshold_out_of_range_exits_2(capsys):
+    argv = ["simulate", "--policy", "threshold", "--xi", "0.7", "--n", "10"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: fixed threshold must lie in [0, 1/2], got 0.7\n"
+    )
 
 
 def test_simulate_rejects_two_horizons(capsys):
@@ -444,3 +456,35 @@ def test_compare_checks_the_grid_before_simulating(monkeypatch, capsys):
     code = main(["compare", "--n", "10000", "--reps", "200", "--grid", "2"])
     assert code == 2
     assert capsys.readouterr().err == "error: grid_size must be >= 3, got 2\n"
+
+
+#: Runs every solver and runner once, then prints which test-only packages
+#: the process loaded.
+_RUNTIME_PROBE = """
+import sys
+from altseq.cli import main
+for argv in [
+    ["geometric", "--rho", "0.9", "--grid", "101"],
+    ["finite", "--n", "5", "--grid", "101"],
+    ["offline", "--n", "10", "--reps", "20"],
+    ["simulate", "--policy", "concat", "--rho", "0.9", "--n", "5",
+     "--reps", "20", "--grid", "101"],
+    ["compare", "--n", "10", "--reps", "20", "--grid", "101"],
+]:
+    assert main(argv) == 0, argv
+print(sorted({"scipy", "hypothesis", "pytest"} & set(sys.modules)))
+"""
+
+
+def test_the_runtime_needs_only_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

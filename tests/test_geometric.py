@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from altseq import (
+    FixedThresholdPolicy,
     closed_form_diagnostics,
     fixed_threshold_value,
     solve_flipped,
     solve_two_state,
+    stationary_rate,
     value_closed,
     value_flat_form,
     value_slope_interior,
@@ -45,6 +47,24 @@ def test_value_closed_values():
     # (1 - rho) * value tends to 2 - sqrt(2) as rho tends to 1
     rho = 1 - 1e-7
     assert (1 - rho) * value_closed(rho) == pytest.approx(2 - SQRT2, abs=1e-5)
+
+
+@pytest.mark.parametrize("xi", [-0.1, 0.7])
+@pytest.mark.parametrize(
+    "use_xi",
+    [
+        FixedThresholdPolicy,
+        stationary_rate,
+        lambda xi: fixed_threshold_value(0.9, xi),
+        lambda xi: closed_form_diagnostics(0.9, xi),
+    ],
+    ids=["policy", "stationary_rate", "fixed_threshold_value", "diagnostics"],
+)
+def test_every_fixed_threshold_lies_in_zero_to_half(use_xi, xi):
+    message = f"fixed threshold must lie in [0, 1/2], got {xi}"
+    with pytest.raises(ValueError) as excinfo:
+        use_xi(xi)
+    assert str(excinfo.value) == message
 
 
 def test_value_closed_is_fixed_threshold_value_at_xi0():

@@ -294,6 +294,34 @@ def test_geometric_chunks_obey_the_element_budget(monkeypatch):
     assert np.array_equal(counts, unpatched)
 
 
+@pytest.mark.parametrize(
+    "patch, n, reps, requests",
+    [
+        ({"CHUNK_TARGET_ELEMENTS": 50}, 10, 12, [50, 50, 20]),
+        # a row longer than the budget is a chunk of its own
+        ({"CHUNK_TARGET_ELEMENTS": 50}, 60, 3, [60, 60, 60]),
+        ({"MAX_CHUNK": 4}, 10, 10, [40, 40, 20]),
+    ],
+)
+def test_fixed_chunks_obey_the_element_budget_and_row_cap(
+    monkeypatch, patch, n, reps, requests
+):
+    cfg = SimulationConfig(reps=reps, seed=8, policy=GREEDY, n=n)
+    unpatched = run_fixed_horizon(cfg).per_rep_counts
+    mapped = []
+
+    def mapped_zeros(shape):
+        mapped.append(shape)
+        return _bellman.mapped_zeros(shape)
+
+    monkeypatch.setattr(montecarlo, "mapped_zeros", mapped_zeros)
+    for name, value in patch.items():
+        monkeypatch.setattr(montecarlo, name, value)
+    counts = run_fixed_horizon(cfg).per_rep_counts
+    assert mapped == requests
+    assert np.array_equal(counts, unpatched)
+
+
 def test_std_error_definition():
     cfg = SimulationConfig(reps=400, seed=3, policy=GREEDY, n=25)
     res = run_fixed_horizon(cfg)
