@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def mapped_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:
-    if grid_size < 3:
+    if operator.index(grid_size) < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
     return np.linspace(0.0, 1.0, grid_size)
 

@@ -15,6 +15,7 @@ than a single scalar per stage.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,7 +26,7 @@ from ._bellman import DEFAULT_GRID
 
 
 def check_horizon(n: int) -> int:
-    if n < 1:
+    if operator.index(n) < 1:  # refuses 2.5 rather than truncate it
         raise ValueError(f"horizon must be a positive integer, got {n}")
     return int(n)
 

@@ -6,17 +6,17 @@ configuration no matter how replicates are chunked or scheduled, and any
 replicate can be regenerated in isolation. Within a stream the draw order
 is: horizon draw first (geometric runs only), then the observations.
 
-A chunk of replicates is stored flat and step-major, its rows sorted longest
-first: the rows still live at step i form a prefix, and their observations
-are one contiguous slice. A chunk holds at most CHUNK_TARGET_ELEMENTS
-observations plus one row, and MAX_CHUNK bounds the streams held at once.
+A chunk of replicates, its rows sorted longest first, is stepped one slice of
+steps at a time: a plain steps x rows block with one column per row still
+live, cut at CHUNK_TARGET_ELEMENTS observations or where half its rows have
+ended, so a block holds at most twice its live observations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,17 +28,17 @@ from .sequence import longest_alternating
 
 #: Upper bound on the replicates of a chunk, and so on the streams held at once.
 MAX_CHUNK = 8192
-#: Observations per chunk of either runner; a geometric one may add one row.
+#: Observations stored at once: the size of a slice, unless one step is wider.
 CHUNK_TARGET_ELEMENTS = 4_000_000
 
 
 def check_run(
-    reps: int, seed: int, n: Optional[int] = None, rho: Optional[float] = None
+    reps: int, seed: int, n: int | None = None, rho: float | None = None
 ) -> None:
     """Valid reps and seed, then exactly one valid horizon: n fixed or rho."""
-    if reps < 1:
+    if operator.index(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if not 0 <= seed < 2**64:
+    if not 0 <= operator.index(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if (n is None) == (rho is None):
         raise ValueError("exactly one of n or rho must be given")
@@ -60,8 +60,8 @@ class SimulationConfig:
     reps: int
     seed: int
     policy: Policy
-    n: Optional[int] = None
-    rho: Optional[float] = None
+    n: int | None = None
+    rho: float | None = None
 
     def __post_init__(self):
         check_run(self.reps, self.seed, self.n, self.rho)
@@ -116,23 +116,33 @@ def _aggregate(counts: np.ndarray) -> RunResult:
     )
 
 
-def _simulate_batch(policy: Policy, flat: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Run a step-major chunk through the policy in lockstep; returns counts.
+def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
+    """Run rows of non-increasing lengths through the policy; returns counts.
 
-    live[i-1] rows, a prefix of the longest-first order, are live at step i;
-    their observations are the next live[i-1] entries of flat, and counts come
-    back in that order. Each step reads live[0] entries, so a ragged chunk ends
-    in live[0] - live[-1] spare slots; rows past the prefix are masked off.
+    stream(p) is row p's Generator at its first observation; a row that runs
+    past a slice keeps it for the next. A slice steps its w live rows alone.
     """
-    rows = int(live[0])
-    batch = policy.new_batch(rows)
-    counts = np.zeros(rows, dtype=np.int64)
-    index = np.arange(rows)
-    s = 0
-    for i, k in enumerate(live, start=1):
-        active = None if k == rows else index < k
-        counts += policy.step_batch(batch, i, flat[s : s + rows], active)
-        s += k
+    held, t0, w, k = [], 0, len(lengths), len(lengths)
+    batch = policy.new_batch(w)
+    counts = np.zeros(w, dtype=np.int64)
+    index = np.arange(w)
+    while w:
+        t1 = min(lengths[w // 2], t0 + max(1, CHUNK_TARGET_ELEMENTS // w))
+        X = mapped_zeros((t1 - t0, w))
+        running = []
+        for p, h in enumerate(lengths[:w]):
+            rng = held[p] if t0 else stream(p)
+            X[: h - t0, p] = rng.random(min(h, t1) - t0)
+            if h > t1:
+                running.append(rng)
+        view = {key: v[:w] for key, v in batch.items()}
+        for i, x in enumerate(X, start=t0 + 1):
+            while lengths[k - 1] < i:  # k rows have horizon >= i
+                k -= 1
+            active = None if k == w else index[:w] < k
+            counts[:w] += policy.step_batch(view, i, x, active)
+        del X, x  # unmapped before the next slice is mapped
+        held, t0, w = running, t1, len(running)
     return counts
 
 
@@ -143,13 +153,10 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = max(1, min(MAX_CHUNK, CHUNK_TARGET_ELEMENTS // cfg.n))
     for lo in range(0, cfg.reps, chunk):
-        hi = min(lo + chunk, cfg.reps)
-        flat = mapped_zeros(cfg.n * (hi - lo))
-        X = flat.reshape(cfg.n, hi - lo)
-        for r in range(lo, hi):
-            X[:, r - lo] = replicate_rng(cfg.seed, r).random(cfg.n)
-        every_row_live = np.broadcast_to(hi - lo, cfg.n)
-        counts[lo:hi] = _simulate_batch(cfg.policy, flat, every_row_live)
+        rows = min(chunk, cfg.reps - lo)
+        counts[lo : lo + rows] = _simulate_batch(
+            cfg.policy, [cfg.n] * rows, lambda p: replicate_rng(cfg.seed, lo + p)
+        )
     return _aggregate(counts)
 
 
@@ -157,27 +164,18 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     """Evaluate cfg.policy on a geometric-size sample per replicate.
 
     Each replicate draws its horizon from its own stream, then that many
-    observations from the same stream.
+    observations from the same stream once the horizons are sorted.
     """
     if cfg.rho is None:
         raise ValueError("run_geometric_horizon needs a geometric-horizon config")
     counts = np.empty(cfg.reps, dtype=np.int64)
     for lo in range(0, cfg.reps, MAX_CHUNK):
-        # Streams wait, horizon drawn, until the sort order is known, so the
-        # observations are drawn straight into their place.
         rngs = [replicate_rng(cfg.seed, r) for r in range(lo, cfg.reps)[:MAX_CHUNK]]
         lengths = np.array([sample_horizon(rng, cfg.rho) for rng in rngs])
         order = np.argsort(-lengths, kind="stable")
-        # cut where the running sum of horizons crosses a multiple of the budget
-        sums = lengths[order].cumsum() // CHUNK_TARGET_ELEMENTS
-        for part in np.split(order, np.flatnonzero(np.diff(sums)) + 1):
-            # live[i-1] = rows with horizon >= i; step i starts at start[i-1]
-            live = np.bincount(lengths[part])[:0:-1].cumsum()[::-1]
-            start = np.concatenate(([0], live[:-1].cumsum()))
-            flat = mapped_zeros(int(live.sum() + live[0] - live[-1]))
-            for p, r in enumerate(part):
-                flat[start[: lengths[r]] + p] = rngs[r].random(lengths[r])
-            counts[lo + part] = _simulate_batch(cfg.policy, flat, live)
+        counts[lo + order] = _simulate_batch(
+            cfg.policy, lengths[order].tolist(), lambda p: rngs[order[p]]
+        )
     return _aggregate(counts)
 
 

@@ -24,6 +24,7 @@ from altseq import (
     run_offline,
     sample_horizon,
     solve_finite,
+    solve_flipped,
     value_closed,
 )
 from altseq import _bellman, montecarlo
@@ -43,6 +44,29 @@ def test_config_validation(sol_n10):
         SimulationConfig(reps=5, seed=1, policy=GREEDY, rho=1.2)
     with pytest.raises(ValueError):
         SimulationConfig(reps=5, seed=-1, policy=GREEDY, n=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_finite(2.5),
+        lambda: optimal_expected(2.5),
+        lambda: SimulationConfig(reps=5, seed=1.5, policy=GREEDY, n=5),
+        lambda: SimulationConfig(reps=2.5, seed=1, policy=GREEDY, n=5),
+        lambda: SimulationConfig(reps=5, seed=1, policy=GREEDY, n=2.5),
+        lambda: solve_flipped(0.9, grid_size=11.0),
+    ],
+    ids=["solve_finite-n", "optimal_expected-n", "seed", "reps", "n", "grid_size"],
+)
+def test_integer_inputs_must_be_integers(monkeypatch, call):
+    # 2.5 must be refused, not truncated to 2, and before any work is done
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began on a non-integer input")
+
+    monkeypatch.setattr(_bellman, "apply_flipped", no_work)
+    monkeypatch.setattr(_bellman, "mapped_zeros", no_work)
+    with pytest.raises((TypeError, ValueError)):
+        call()
 
 
 def test_horizon_policy_mismatch(sol_n10):
@@ -235,72 +259,83 @@ def test_counts_match_recorded_digests(sol_n10):
         assert digest == GOLDEN_COUNTS[name], name
 
 
-def test_geometric_chunk_memory_follows_the_drawn_horizons(monkeypatch):
-    reps, seed, rho = 2048, 11, 0.995
-    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(reps)]
-    total = sum(lengths)
-    cfg = SimulationConfig(
-        reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
-    )
+def record_mappings(monkeypatch):
+    """Patch the runners' allocator; returns the list of shapes it maps."""
     mapped = []
 
     def mapped_zeros(shape):
         mapped.append(shape)
         return _bellman.mapped_zeros(shape)
 
-    # tracemalloc sees the C heap only; the chunk is mapped outside it
     monkeypatch.setattr(montecarlo, "mapped_zeros", mapped_zeros)
+    return mapped
+
+
+def test_geometric_chunk_memory_follows_the_drawn_horizons(monkeypatch):
+    reps, seed, rho = 2048, 11, 0.995
+    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(reps)]
+    total = sum(lengths)
+    assert total == 417_048
+    cfg = SimulationConfig(
+        reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
+    )
+    # tracemalloc sees the C heap only; the slices are mapped outside it
+    mapped = record_mappings(monkeypatch)
     tracemalloc.start()
     try:
         run_geometric_horizon(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the horizons, then spare slots that keep the last steps' views full width
-    assert mapped == [total + reps - lengths.count(max(lengths))]
+    # slices follow each other down the steps, one column per row still live
+    t0, held = 0, []
+    for steps, width in mapped:
+        assert width == sum(h > t0 for h in lengths)
+        live = sum(min(max(h - t0, 0), steps) for h in lengths)
+        assert steps * width <= 2 * live
+        held.append(live)
+        t0 += steps
+    assert t0 == max(lengths) and sum(held) == total
+    # the one step-major chunk with its spare slots took 419,095
+    assert max(steps * width for steps, width in mapped) <= 419_095
     # a chunk padded to its longest horizon would take about ten times this
     assert peak + 8 * total <= 3 * 8 * total
 
 
 def test_geometric_chunks_obey_the_element_budget(monkeypatch):
     reps, seed, rho, budget = 2048, 11, 0.995, 50_000
-    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(reps)]
     cfg = SimulationConfig(
         reps=reps, seed=seed, policy=GeometricOptimalPolicy(rho), rho=rho
     )
     unpatched = run_geometric_horizon(cfg).per_rep_counts
-    mapped, lives = [], []
-    simulate_batch = montecarlo._simulate_batch
-
-    def mapped_zeros(shape):
-        mapped.append(shape)
-        return _bellman.mapped_zeros(shape)
-
-    def record_live(policy, flat, live):
-        lives.append(live)
-        return simulate_batch(policy, flat, live)
-
-    monkeypatch.setattr(montecarlo, "mapped_zeros", mapped_zeros)
-    monkeypatch.setattr(montecarlo, "_simulate_batch", record_live)
+    mapped = record_mappings(monkeypatch)
     monkeypatch.setattr(montecarlo, "CHUNK_TARGET_ELEMENTS", budget)
     counts = run_geometric_horizon(cfg).per_rep_counts
-    assert len(mapped) == len(lives) > 1
-    for size, live in zip(mapped, lives):
-        # live.size is the part's longest horizon, live[0] - live[-1] its spare slots
-        spare = int(live[0] - live[-1])
-        assert size == live.sum() + spare
-        assert size <= budget + live.size + spare
-    assert sum(int(live.sum()) for live in lives) == sum(lengths)
+    assert len(mapped) > 1
+    assert all(steps * width <= budget for steps, width in mapped)
+    assert np.array_equal(counts, unpatched)
+
+
+def test_a_replicate_longer_than_the_budget_is_sliced(monkeypatch):
+    cfg = SimulationConfig(
+        reps=1, seed=8, policy=GeometricOptimalPolicy(0.999), rho=0.999
+    )
+    assert sample_horizon(replicate_rng(8, 0), 0.999) == 5441
+    unpatched = run_geometric_horizon(cfg).per_rep_counts
+    mapped = record_mappings(monkeypatch)
+    monkeypatch.setattr(montecarlo, "CHUNK_TARGET_ELEMENTS", 1000)
+    counts = run_geometric_horizon(cfg).per_rep_counts
+    assert mapped == [(1000, 1)] * 5 + [(441, 1)]
     assert np.array_equal(counts, unpatched)
 
 
 @pytest.mark.parametrize(
     "patch, n, reps, requests",
     [
-        ({"CHUNK_TARGET_ELEMENTS": 50}, 10, 12, [50, 50, 20]),
-        # a row longer than the budget is a chunk of its own
-        ({"CHUNK_TARGET_ELEMENTS": 50}, 60, 3, [60, 60, 60]),
-        ({"MAX_CHUNK": 4}, 10, 10, [40, 40, 20]),
+        ({"CHUNK_TARGET_ELEMENTS": 50}, 10, 12, [(10, 5), (10, 5), (10, 2)]),
+        # a row longer than the budget is sliced down its steps
+        ({"CHUNK_TARGET_ELEMENTS": 50}, 60, 3, [(50, 1), (10, 1)] * 3),
+        ({"MAX_CHUNK": 4}, 10, 10, [(10, 4), (10, 4), (10, 2)]),
     ],
 )
 def test_fixed_chunks_obey_the_element_budget_and_row_cap(
@@ -308,13 +343,7 @@ def test_fixed_chunks_obey_the_element_budget_and_row_cap(
 ):
     cfg = SimulationConfig(reps=reps, seed=8, policy=GREEDY, n=n)
     unpatched = run_fixed_horizon(cfg).per_rep_counts
-    mapped = []
-
-    def mapped_zeros(shape):
-        mapped.append(shape)
-        return _bellman.mapped_zeros(shape)
-
-    monkeypatch.setattr(montecarlo, "mapped_zeros", mapped_zeros)
+    mapped = record_mappings(monkeypatch)
     for name, value in patch.items():
         monkeypatch.setattr(montecarlo, name, value)
     counts = run_fixed_horizon(cfg).per_rep_counts

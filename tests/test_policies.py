@@ -1,6 +1,7 @@
 """Policy semantics: thresholds, state recursion, feasibility, regeneration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from altseq import (
     stationary_rate,
     xi0_closed,
 )
+from altseq import montecarlo
 from conftest import seeded_rng
 
 SQRT2 = math.sqrt(2.0)
@@ -69,22 +71,27 @@ def scalar_counts(policy, X, lengths=None):
 
 
 def batch_counts(policy, X, lengths=None):
-    """Batch path: the runners' chunk layout, built here from X and lengths.
+    """Batch path: the runners' slices, each row of X fed through its stream.
 
-    Rows are sorted longest first and stored step-major, so the rows live at
-    step i are a prefix; counts are returned in the order of the rows of X.
+    Rows are sorted longest first, and row p's stream yields the row's
+    observations in order; counts are returned in the order of the rows of X.
     """
-    from altseq.montecarlo import _simulate_batch
-
     rows, steps = X.shape
     lengths = np.full(rows, steps) if lengths is None else np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
-    live = [int(np.count_nonzero(lengths >= i)) for i in range(1, lengths.max() + 1)]
-    flat = np.concatenate([X[order[:k], i] for i, k in enumerate(live)])
-    # every step reads live[0] entries: spare slots keep the last views full
-    flat = np.concatenate([flat, np.zeros(live[0] - live[-1])])
+
+    class Row:
+        def __init__(self, values):
+            self.values, self.used = values, 0
+
+        def random(self, size):
+            self.used += size
+            return self.values[self.used - size : self.used]
+
     counts = np.empty(rows, dtype=np.int64)
-    counts[order] = _simulate_batch(policy, flat, np.array(live))
+    counts[order] = montecarlo._simulate_batch(
+        policy, lengths[order].tolist(), lambda p: Row(X[order[p]])
+    )
     return counts
 
 
@@ -223,17 +230,18 @@ def test_selected_subsequences_alternate(sol_n10):
     shortest=st.integers(min_value=1, max_value=12),
     xi=st.floats(min_value=0.0, max_value=0.5),
     rho=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    budget=st.integers(min_value=1, max_value=7),
 )
-@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.0, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.3, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.0, rho=0.85)
-@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.0, rho=0.85, budget=7)
+@example(seed=17, rows=40, horizon=10, ragged=False, shortest=1, xi=0.3, rho=0.85, budget=5)
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.0, rho=0.85, budget=3)
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85, budget=1)
 # all lengths equal, a single row, and every length 1
-@example(seed=17, rows=40, horizon=10, ragged=True, shortest=10, xi=0.3, rho=0.85)
-@example(seed=17, rows=1, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85)
-@example(seed=17, rows=40, horizon=1, ragged=True, shortest=1, xi=0.3, rho=0.85)
+@example(seed=17, rows=40, horizon=10, ragged=True, shortest=10, xi=0.3, rho=0.85, budget=2)
+@example(seed=17, rows=1, horizon=10, ragged=True, shortest=1, xi=0.3, rho=0.85, budget=1)
+@example(seed=17, rows=40, horizon=1, ragged=True, shortest=1, xi=0.3, rho=0.85, budget=4)
 def test_batch_path_matches_scalar_path(
-    sol_n3, sol_n10, seed, rows, horizon, ragged, shortest, xi, rho
+    sol_n3, sol_n10, seed, rows, horizon, ragged, shortest, xi, rho, budget
 ):
     rng = seeded_rng(seed)
     X = rng.random((rows, horizon))
@@ -242,18 +250,20 @@ def test_batch_path_matches_scalar_path(
     lengths = rng.integers(low, horizon + 1, size=rows) if ragged else None
     policies = [FixedThresholdPolicy(xi), GeometricOptimalPolicy(rho)]
     policies += [ConcatenatedPolicy(sol_n3), ConcatenatedPolicy(sol_n10)]
-    for policy in policies:
-        assert np.array_equal(
-            batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
-        )
-    # finite-optimal stages run 1..n: at most the solution's horizon
-    for sol in (sol_n3, sol_n10):
-        policy = FiniteOptimalPolicy(sol)
-        Xn = X[:, : sol.n]
-        ln = None if lengths is None else np.minimum(lengths, sol.n)
-        assert np.array_equal(
-            batch_counts(policy, Xn, ln), scalar_counts(policy, Xn, ln)
-        )
+    # a budget of a few observations cuts the rows across several slices
+    with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+        for policy in policies:
+            assert np.array_equal(
+                batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
+            )
+        # finite-optimal stages run 1..n: at most the solution's horizon
+        for sol in (sol_n3, sol_n10):
+            policy = FiniteOptimalPolicy(sol)
+            Xn = X[:, : sol.n]
+            ln = None if lengths is None else np.minimum(lengths, sol.n)
+            assert np.array_equal(
+                batch_counts(policy, Xn, ln), scalar_counts(policy, Xn, ln)
+            )
 
 
 @settings(deadline=None)
