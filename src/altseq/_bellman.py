@@ -47,7 +47,9 @@ def mapped_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
 def uniform_grid(grid_size: int) -> np.ndarray:
     if operator.index(grid_size) < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
-    return np.linspace(0.0, 1.0, grid_size)
+    ys = np.linspace(0.0, 1.0, grid_size)
+    ys.setflags(write=False)  # shared by every solution solved on it
+    return ys
 
 
 def cumulative_integral(g: np.ndarray, step: float) -> np.ndarray:
@@ -63,7 +65,6 @@ def integral_to(
 ) -> np.ndarray:
     """Integral of piecewise-linear g from 0 to arbitrary points m in [0,1]."""
     j = np.minimum((m / step).astype(np.int64), g.size - 2)
-    j = np.maximum(j, 0)
     dm = m - ys[j]
     slope = (g[j + 1] - g[j]) / step
     return G[j] + dm * g[j] + 0.5 * dm * dm * slope

@@ -221,6 +221,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
 
 
 def cmd_simulate(args) -> tuple[dict, Optional[list[dict]]]:
+    uniform_grid(args.grid)  # the grid rule, for every policy
     policy, label, horizon = _build_policy(args)
     cfg = montecarlo.SimulationConfig(
         reps=args.reps, seed=args.seed, policy=policy, **horizon

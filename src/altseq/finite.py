@@ -86,6 +86,8 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     threshold_table = _bellman.mapped_zeros((n, grid_size))
     for k, (w, f) in enumerate(_sweep(n, ys), start=1):  # stage n - k + 1
         value_table[n - k], threshold_table[n - k] = w, f
+    value_table.setflags(write=False)
+    threshold_table.setflags(write=False)
     return FiniteSolution(
         n=n,
         ys=ys,
@@ -111,7 +113,7 @@ def threshold_at(sol: FiniteSolution, i: int, y: float) -> float:
 
     inf{x in [y, 1] : v[i+1](y) <= 1 + v[i+1](1-x)}, with the next-stage
     value interpolated at y and the crossing located by grid scan plus
-    linear interpolation; 1 if the set is empty (never select).
+    linear interpolation. The set is never empty: it always holds x = 1.
     """
     if not 1 <= i <= sol.n:
         raise ValueError(f"stage {i} outside 1..{sol.n}")

@@ -188,6 +188,7 @@ def solve_flipped(
     values, residual, iterations = _fixed_point(
         apply, np.zeros(grid_size), rho, tol, project=_nonnegative_non_increasing
     )
+    values.setflags(write=False)
     return ValueFunctionGrid(
         ys=ys,
         values=values,
@@ -212,6 +213,7 @@ def solve_two_state(
     values, residual, iterations = _fixed_point(
         apply, np.zeros(2 * grid_size), rho, tol
     )
+    values.setflags(write=False)  # and so both halves, views of it
     return TwoStateSolution(
         ys=ys,
         v_after_min=values[:grid_size],
@@ -250,8 +252,7 @@ def value_threshold_form(rho: float) -> float:
 
 def value_flat_form(rho: float) -> float:
     """Candidate optimal value (2 - rho) / (2*(1 - rho)), the zero-threshold policy."""
-    rho = check_rho(rho)
-    return (2.0 - rho) / (2.0 * (1.0 - rho))
+    return fixed_threshold_value(rho, 0.0)
 
 
 def value_closed(rho: float) -> float:
@@ -291,22 +292,8 @@ def _reflected_value(rho: float, xi: float) -> float:
     return num / den
 
 
-def _slope_at_xi(rho: float, xi: float) -> float:
-    # Right derivative of the fixed-threshold value at xi.
-    num = -2.0 + 4.0 * rho - 4.0 * rho * xi - rho**2 + 2.0 * rho**2 * xi**2
-    den = 2.0 * (1.0 - rho * xi) ** 2 * (1.0 - rho + rho * xi)
-    return num / den
-
-
-def _slope_at_reflection(rho: float, xi: float) -> float:
-    # Left derivative of the fixed-threshold value at 1 - xi.
-    num = -2.0 + 4.0 * rho * xi + rho**2 - 4.0 * rho**2 * xi + 2.0 * rho**2 * xi**2
-    den = 2.0 * (1.0 - rho * xi) * (1.0 - rho + rho * xi) ** 2
-    return num / den
-
-
 def value_slope_interior(rho: float, y) -> np.ndarray:
-    """Derivative of the fixed-threshold value on (xi, 1-xi).
+    """Derivative of the fixed-threshold value on [xi, 1-xi], one-sided at the ends.
 
     The threshold parameter cancels, so a single expression covers every
     fixed-threshold policy on the interior of its non-flat range:
@@ -341,10 +328,10 @@ class ClosedFormDiagnostics:
 def closed_form_diagnostics(rho: float, xi: float) -> ClosedFormDiagnostics:
     """Evaluate the four closed forms and the residuals of their conditions."""
     rho, xi = check_rho(rho), check_xi(xi)
-    a = fixed_threshold_value(rho, xi)      # V(xi)
-    b = _reflected_value(rho, xi)           # V(1-xi)
-    c = _slope_at_xi(rho, xi)               # V'(xi)
-    d = _slope_at_reflection(rho, xi)       # V'(1-xi)
+    a = fixed_threshold_value(rho, xi)              # V(xi)
+    b = _reflected_value(rho, xi)                   # V(1-xi)
+    c = float(value_slope_interior(rho, xi))        # V'(xi)
+    d = float(value_slope_interior(rho, 1.0 - xi))  # V'(1-xi)
     p = 1.0 - rho * xi
     q = 1.0 - rho + rho * xi
     residuals = np.array(

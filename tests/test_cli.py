@@ -458,6 +458,22 @@ def test_compare_checks_the_grid_before_simulating(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: grid_size must be >= 3, got 2\n"
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ["greedy", "--n", "5"],
+        ["timid", "--n", "5"],
+        ["threshold", "--xi", "0.2", "--n", "5"],
+        ["geometric-optimal", "--rho", "0.9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_simulate_checks_the_grid_for_every_policy(capsys, policy):
+    code = main(["simulate", "--policy", *policy, "--reps", "3", "--grid", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: grid_size must be >= 3, got 1\n"
+
+
 #: Runs every solver and runner once, then prints which test-only packages
 #: the process loaded.
 _RUNTIME_PROBE = """

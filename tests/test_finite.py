@@ -157,6 +157,14 @@ def test_threshold_table_matches_threshold_at(sol_n10):
             )
 
 
+def test_solved_tables_are_read_only(sol_n3):
+    # the fixtures are shared by every test file; rewriting a value in place
+    # leaves them as they were wherever the write is not refused
+    for array in (sol_n3.ys, sol_n3.value_table, sol_n3.threshold_table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_threshold_rows_dominate_state(sol_n10):
     for i in range(1, 11):
         assert np.all(sol_n10.threshold_row(i) >= sol_n10.ys - 1e-15)

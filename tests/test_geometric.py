@@ -147,6 +147,14 @@ def test_two_state_agrees_with_flipped():
     assert two.error_bound == pytest.approx(4.0 * two.residual, rel=1e-12)
 
 
+def test_solved_arrays_are_read_only():
+    one = solve_flipped(0.8, grid_size=101)
+    two = solve_two_state(0.8, grid_size=101)
+    for array in (one.ys, one.values, two.ys, two.v_after_min, two.v_after_max):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_extract_threshold_examples():
     # A grid scan with linear interpolation in the straddling cell gives
     # these estimates; the pins assume the solve reproduces bit for bit.

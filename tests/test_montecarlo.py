@@ -375,6 +375,18 @@ def test_offline_moments_match_formulas():
     assert abs(res.variance - var_f) / var_f < 0.05
 
 
+def test_offline_scan_holds_one_copy_of_the_draws():
+    # a list of Python floats would hold about five times the 8n bytes drawn
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        run_offline(n, reps=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n
+
+
 def test_geometric_horizon_mean():
     rho, reps, seed = 0.9, 30_000, 42
     ns = np.array(

@@ -52,6 +52,16 @@ def test_scan_matches_oracle_with_ties():
         assert longest_alternating(xs) == longest_alternating_oracle(xs)
 
 
+def test_scan_reads_a_float64_memoryview_as_its_list():
+    rng = seeded_rng(8)
+    for _ in range(500):
+        length = int(rng.integers(0, 40))
+        for xs in (rng.random(length), rng.integers(0, 4, size=length) / 4.0):
+            assert longest_alternating(memoryview(xs)) == longest_alternating(
+                xs.tolist()
+            )
+
+
 def test_monotone_transform_invariance():
     rng = seeded_rng(5)
     transforms = [
