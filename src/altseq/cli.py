@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from typing import Optional
 
 from . import finite, geometric, montecarlo
 from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2, uniform_grid
@@ -71,7 +70,7 @@ RUN_COLUMNS = ["policy", "horizon_kind", "horizon_param", "reps", "seed"]
 SIM_CSV_HEADER = RUN_COLUMNS + ["mean", "variance", "std_error", "rate"]
 
 
-def _render(payload: dict, rows: Optional[list[dict]], form: str) -> str:
+def _render(payload: dict, rows: list[dict] | None, form: str) -> str:
     """The result as "json", simulation "rows" CSV, key/value "csv" or "lines"."""
     if form == "json":
         return emit_json(payload)
@@ -102,7 +101,7 @@ def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
     return dict(zip(SIM_CSV_HEADER, values, strict=True))
 
 
-def cmd_offline(args) -> tuple[dict, Optional[list[dict]]]:
+def cmd_offline(args) -> tuple[dict, list[dict] | None]:
     result = montecarlo.run_offline(args.n, args.reps, args.seed)
     payload = {
         "command": "offline",
@@ -119,7 +118,7 @@ def cmd_offline(args) -> tuple[dict, Optional[list[dict]]]:
     return payload, None
 
 
-def cmd_geometric(args) -> tuple[dict, Optional[list[dict]]]:
+def cmd_geometric(args) -> tuple[dict, list[dict] | None]:
     grid = geometric.solve_flipped(args.rho, args.grid, args.tol)
     xi_closed = geometric.xi0_closed(args.rho)
     payload = {
@@ -147,7 +146,7 @@ def cmd_geometric(args) -> tuple[dict, Optional[list[dict]]]:
     return payload, None
 
 
-def cmd_finite(args) -> tuple[dict, Optional[list[dict]]]:
+def cmd_finite(args) -> tuple[dict, list[dict] | None]:
     sol = finite.solve_finite(args.n, args.grid)
     value = float(sol.value_table[0, 0])
     lower = (2.0 - SQRT2) * args.n
@@ -220,7 +219,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     return FixedThresholdPolicy(xi), label, horizon
 
 
-def cmd_simulate(args) -> tuple[dict, Optional[list[dict]]]:
+def cmd_simulate(args) -> tuple[dict, list[dict] | None]:
     uniform_grid(args.grid)  # the grid rule, for every policy
     policy, label, horizon = _build_policy(args)
     cfg = montecarlo.SimulationConfig(
@@ -236,7 +235,7 @@ def cmd_simulate(args) -> tuple[dict, Optional[list[dict]]]:
     return payload, [row]
 
 
-def cmd_compare(args) -> tuple[dict, Optional[list[dict]]]:
+def cmd_compare(args) -> tuple[dict, list[dict] | None]:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
     finite.check_table_budget(n_finite, args.grid)  # refuse before any simulation
     uniform_grid(args.grid)  # the grid rule, also before any simulation
@@ -361,7 +360,7 @@ def _run(args) -> int:
         raise
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

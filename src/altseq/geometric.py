@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def _fixed_point(
     x: np.ndarray,
     rho: float,
     tol: float,
-    project: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Solve x = T(x) for a rho-contraction T, starting from x.
 

@@ -3,8 +3,10 @@
 Replicate streams are counter-based: replicate r of a run with seed s draws
 from Philox keyed by (s, r), so results are bit-identical for a given
 configuration no matter how replicates are chunked or scheduled, and any
-replicate can be regenerated in isolation. Within a stream the draw order
-is: horizon draw first (geometric runs only), then the observations.
+replicate can be regenerated in isolation. Each stream is keyed directly:
+no OS entropy is read and no SeedSequence mixes the key, and the draws are
+those of Philox(key=[s, r]). Within a stream the draw order is: horizon draw
+first (geometric runs only), then the observations.
 
 A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
@@ -14,6 +16,7 @@ ended, so a block holds at most twice its live observations.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -88,13 +91,43 @@ class RunResult:
     per_rep_counts: np.ndarray
 
 
+class _DirectKey:
+    """The seed source of one stream: hands Philox the key (seed, rep) as is.
+
+    Philox keeps its seed source for the stream's life, so this holds two ints
+    and no array, and is a module-level class so that a stream still pickles.
+    """
+
+    __slots__ = ("seed", "rep")
+
+    def __init__(self, seed: int, rep: int):
+        self.seed = seed
+        self.rep = rep
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a direct Philox key is two uint64 words")
+        return np.array([self.seed, self.rep], dtype=np.uint64)
+
+
+@functools.cache
+def _register_direct_key() -> None:
+    """Make _DirectKey a numpy ISeedSequence. Done on first use, so that
+    importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_DirectKey)
+
+
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """The dedicated stream of one replicate: Philox keyed by (seed, rep)."""
-    # An explicit uint64 key: numpy reads a list holding a value of 2**63 or
-    # more as float64, which merges nearby seeds.
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    )
+    """The dedicated stream of one replicate: Philox keyed by (seed, rep).
+
+    The key is installed directly: no OS entropy is read and no SeedSequence
+    mixes it, and the draws equal those of Philox(key=[seed, rep]). Every
+    call returns a new, independent Generator at counter 0.
+    """
+    _register_direct_key()
+    return np.random.Generator(np.random.Philox(_DirectKey(seed, rep)))
 
 
 def sample_horizon(rng: np.random.Generator, rho: float) -> int:

@@ -11,8 +11,6 @@ new_batch returns, so replicates never share state.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .finite import FiniteSolution
@@ -35,7 +33,7 @@ class Policy:
         return {"y": np.zeros(size)}
 
     def step_batch(
-        self, batch: dict, i: int, x: np.ndarray, active: Optional[np.ndarray] = None
+        self, batch: dict, i: int, x: np.ndarray, active: np.ndarray | None = None
     ) -> np.ndarray:
         """Decide on observation i of every replicate; returns the selections.
 
@@ -114,7 +112,7 @@ class ConcatenatedPolicy(Policy):
         return {"y": np.zeros(size), "block_pos": np.zeros(size, dtype=np.int64)}
 
     def step_batch(
-        self, batch: dict, i: int, x: np.ndarray, active: Optional[np.ndarray] = None
+        self, batch: dict, i: int, x: np.ndarray, active: np.ndarray | None = None
     ) -> np.ndarray:
         sol = self.solution
         y = batch["y"]

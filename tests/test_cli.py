@@ -492,15 +492,42 @@ print(sorted({"scipy", "hypothesis", "pytest"} & set(sys.modules)))
 """
 
 
-def test_the_runtime_needs_only_numpy():
+def _last_line_of_fresh_run(probe: str) -> str:
+    """Runs probe in a fresh interpreter that imports altseq from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _RUNTIME_PROBE],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_the_runtime_needs_only_numpy():
+    assert _last_line_of_fresh_run(_RUNTIME_PROBE) == "[]"
+
+
+#: Imports the CLI and runs the two solver commands, then prints the
+#: numpy.random modules they loaded beyond those numpy itself imports.
+_SOLVER_PROBE = """
+import sys
+import numpy
+before = {m for m in sys.modules if m.startswith("numpy.random")}
+from altseq.cli import main
+for argv in [
+    ["geometric", "--rho", "0.9", "--grid", "101"],
+    ["finite", "--n", "5", "--grid", "101"],
+]:
+    assert main(argv) == 0, argv
+print(sorted({m for m in sys.modules if m.startswith("numpy.random")} - before))
+"""
+
+
+def test_the_solvers_never_import_numpy_random():
+    # importing numpy.random costs about 6 MB of peak memory and tens of
+    # milliseconds of start-up; only the commands that draw may pay for it
+    assert _last_line_of_fresh_run(_SOLVER_PROBE) == "[]"

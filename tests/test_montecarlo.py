@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -217,6 +218,37 @@ def test_streams_stay_distinct_across_the_u64_seed_range(a, b, rep_a, rep_b):
         x = replicate_rng(a, rep_a).random(16)
         y = replicate_rng(b, rep_b).random(16)
     assert not np.any(x == y)
+
+
+@settings(deadline=None)
+@given(seed=U64, rep=U64, k=st.integers(0, 64))
+@example(seed=0, rep=0, k=8)
+@example(seed=42, rep=7, k=8)
+@example(seed=2**64 - 1, rep=5, k=8)
+@example(seed=2**63 + 5, rep=123456, k=8)
+def test_streams_are_philox_keyed_directly(seed, rep, k):
+    key = np.array([seed, rep], dtype=np.uint64)
+    reference = np.random.Generator(np.random.Philox(key=key))
+    fresh = reference.bit_generator.state
+    ours, twin = replicate_rng(seed, rep), replicate_rng(seed, rep)
+    np.testing.assert_equal(ours.bit_generator.state, fresh)
+    # the geometric draw order: one scalar horizon draw, then the observations
+    assert ours.random() == reference.random()
+    assert np.array_equal(ours.random(k), reference.random(k))
+    # the same key twice gives two streams: drawing from one leaves the other
+    np.testing.assert_equal(twin.bit_generator.state, fresh)
+    assert not twin.bit_generator.state["state"]["counter"].any()
+    # a stream pickles, its seed source included, and resumes where it was
+    resumed = pickle.loads(pickle.dumps(ours))
+    assert np.array_equal(resumed.random(4), reference.random(4))
+
+
+def test_a_direct_key_serves_only_philox_requests():
+    key = montecarlo._DirectKey(1, 2)
+    assert key.generate_state(2, np.uint64).tolist() == [1, 2]
+    for n_words, dtype in [(4, np.uint32), (1, np.uint64), (2, np.uint32)]:
+        with pytest.raises(ValueError):
+            key.generate_state(n_words, dtype)
 
 
 def test_result_carries_its_counts():
