@@ -147,8 +147,12 @@ def cmd_geometric(args) -> tuple[dict, list[dict] | None]:
 
 
 def cmd_finite(args) -> tuple[dict, list[dict] | None]:
-    sol = finite.solve_finite(args.n, args.grid)
-    value = float(sol.value_table[0, 0])
+    finite.check_table_budget(args.n, args.grid)  # with or without --dump-tables
+    if args.dump_tables:
+        sol = finite.solve_finite(args.n, args.grid)
+        value = float(sol.value_table[0, 0])
+    else:  # the same sweep, holding no table
+        value = finite.optimal_expected(args.n, args.grid)
     lower = (2.0 - SQRT2) * args.n
     upper = lower + 11.0 - 4.0 * SQRT2
     payload = {
@@ -250,7 +254,7 @@ def cmd_compare(args) -> tuple[dict, list[dict] | None]:
         (f"threshold({xi_star:.6f})", FixedThresholdPolicy(xi_star), args.n),
         (finite_label, None, n_finite),
     ]:
-        if policy is None:  # solved last: its tables are not held during the others
+        if policy is None:  # solved last: no threshold row is held during the others
             policy = FiniteOptimalPolicy(finite.solve_finite(n, args.grid))
         cfg = montecarlo.SimulationConfig(
             reps=args.reps, seed=args.seed, policy=policy, n=n

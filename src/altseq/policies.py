@@ -79,7 +79,7 @@ class FiniteOptimalPolicy(Policy):
 
 def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):
     # Linear interpolation of table[rows] at points y, row chosen per entry;
-    # one flat index gathers table[rows, j] (row -1 is the last row).
+    # one flat index gathers table[rows, j].
     step = ys[1] - ys[0]
     j = np.minimum((y / step).astype(np.int64), ys.size - 2)
     frac = y / step - j
@@ -118,8 +118,8 @@ class ConcatenatedPolicy(Policy):
         y = batch["y"]
         bp = batch["block_pos"]
         seeking = bp == 0
-        # Seeking rows read table row -1; their threshold is replaced below.
-        thr = _interp_rows(sol.threshold_table, bp - 1, sol.ys, y)
+        # Seeking rows read table row 0; their threshold is replaced below.
+        thr = _interp_rows(sol.threshold_table, sol.stage_rows(bp), sol.ys, y)
         thr[seeking] = SEEK_LEVEL
         sel = x >= thr
         if active is not None:

@@ -1,20 +1,36 @@
 """Backward induction: exact small cases, structural bounds, cross-checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from altseq import (
+    ConcatenatedPolicy,
+    FiniteOptimalPolicy,
     FiniteSolution,
+    SimulationConfig,
     optimal_expected,
     optimal_expected_curve,
+    run_fixed_horizon,
+    run_geometric_horizon,
     solve_finite,
     solve_finite_two_state,
     threshold_at,
 )
+from altseq import _bellman
+from altseq.finite import _sweep
 
 SQRT2 = math.sqrt(2.0)
+
+
+def full_solution(n: int, grid_size: int = _bellman.DEFAULT_GRID) -> FiniteSolution:
+    """A solution holding every stage's threshold row: the sweep, never stopped."""
+    ys = _bellman.uniform_grid(grid_size)
+    rows = [f for _, f in _sweep(n, ys)]  # f_k, k observations left
+    return FiniteSolution(n=n, ys=ys, threshold_table=np.array(rows[::-1]))
 
 
 def test_horizon_validation():
@@ -216,3 +232,113 @@ def test_solution_is_frozen(sol_n3):
 def test_n100_value_in_linear_rate_bracket():
     value = optimal_expected(100, grid_size=2001)
     assert (2 - SQRT2) * 100 <= value <= (2 - SQRT2) * 100 + 11 - 4 * SQRT2
+
+
+def test_the_sweep_does_not_stop_where_the_greedy_rows_agree():
+    # f_1 = f_2 = y exactly: with one or two observations left the rule is
+    # greedy, so a sweep that stopped at the first agreeing pair would keep
+    # the greedy row for every earlier stage
+    sol = solve_finite(60)
+    full = full_solution(60)
+    assert np.array_equal(full.threshold_row(60), full.threshold_row(59))
+    assert sol.threshold_table.shape == (60, sol.ys.size)
+    assert np.array_equal(sol.threshold_table, full.threshold_table)
+
+
+@pytest.mark.parametrize("grid_size", [11, 101, 2001])
+def test_truncated_rows_stay_within_the_stop_tolerance_of_the_full_sweep(grid_size):
+    # every stage past the last row kept shares that row; measured, no later
+    # row up to k = 3000 drifts from it by more than 4e-12
+    n = 2000
+    sol = solve_finite(n, grid_size)
+    kept = len(sol.threshold_table)
+    assert 70 <= kept <= 100
+    for k, (_, f) in enumerate(_sweep(n, sol.ys), start=1):
+        row = sol.threshold_row(n - k + 1)
+        if k <= kept:
+            assert np.array_equal(row, f), k
+        else:
+            assert np.max(np.abs(row - f)) <= 1e-11, k
+    # a horizon between the rows kept and n maps its stages the same way
+    short = solve_finite(kept + 5, grid_size)
+    for i in (1, 5, 6, 7, kept + 5):
+        same_k = n - kept - 5 + i
+        assert np.array_equal(short.threshold_row(i), sol.threshold_row(same_k))
+
+
+@pytest.fixture(scope="module")
+def truncated_and_full():
+    """(truncated, full) solutions at n = 1000 and at n = 150, both past the stop."""
+    pairs = {n: (solve_finite(n), full_solution(n)) for n in (1000, 150)}
+    assert all(len(sol.threshold_table) < n for n, (sol, _) in pairs.items())
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 42, 2**64 - 1])
+def test_truncated_policies_count_as_the_full_tables_do(truncated_and_full, seed):
+    runs = [
+        run_fixed_horizon(
+            SimulationConfig(
+                reps=100, seed=seed, policy=FiniteOptimalPolicy(sol), n=1000
+            )
+        )
+        for sol in truncated_and_full[1000]
+    ]
+    assert np.array_equal(runs[0].per_rep_counts, runs[1].per_rep_counts)
+    runs = [
+        run_geometric_horizon(
+            SimulationConfig(
+                reps=200, seed=seed, policy=ConcatenatedPolicy(sol), rho=0.995
+            )
+        )
+        for sol in truncated_and_full[150]
+    ]
+    assert np.array_equal(runs[0].per_rep_counts, runs[1].per_rep_counts)
+
+
+def test_the_value_table_is_built_on_first_read_from_the_full_sweep():
+    n = 300
+    sol = solve_finite(n, grid_size=101)
+    assert "value_table" not in vars(sol)
+    table = sol.value_table
+    assert sol.value_table is table
+    assert table.shape == (n + 1, 101)
+    assert table[0, 0] == optimal_expected(n, grid_size=101)
+    assert np.all(table[n] == 0.0)
+
+
+def test_threads_reading_a_new_value_table_see_one_result():
+    # the table is built on first read; threads that race to read it may each
+    # build one, and must all get the same read-only values
+    sol = solve_finite(40, grid_size=101)
+    tables = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: tables.append(sol.value_table))
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(tables) == 8
+    for table in tables:
+        assert np.array_equal(table, tables[0])
+        assert not table.flags.writeable
+
+
+def test_the_additive_constant_of_the_optimal_value():
+    # c_n = v_n - (2 - sqrt 2) n is O(h^2) in the grid step h; Richardson
+    # extrapolation from grids 2001 and 4001 settles at 0.2612217 from n = 30 on
+    c = {
+        m: optimal_expected_curve(1000, grid_size=m) - (2 - SQRT2) * np.arange(1, 1001)
+        for m in (2001, 4001)
+    }
+    for n in (100, 1000):
+        extrapolated = c[4001][n - 1] + (c[4001][n - 1] - c[2001][n - 1]) / 3
+        assert abs(extrapolated - 0.2612217) < 1e-6, n

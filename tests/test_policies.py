@@ -37,7 +37,7 @@ def scalar_step(policy, state, i, x):
         if block_pos == 0:
             return (True, (1.0 - x, 1)) if x >= 5 / 6 else (False, state)
         sol = policy.solution
-        threshold = float(np.interp(y, sol.ys, sol.threshold_table[block_pos - 1]))
+        threshold = float(np.interp(y, sol.ys, sol.threshold_row(block_pos)))
         selected = x >= threshold
         y = 1.0 - x if selected else y
         block_pos += 1
@@ -48,7 +48,7 @@ def scalar_step(policy, state, i, x):
         if not 1 <= i <= policy.n:
             raise ValueError(f"step index {i} outside 1..{policy.n}")
         sol = policy.solution
-        threshold = float(np.interp(y, sol.ys, sol.threshold_table[i - 1]))
+        threshold = float(np.interp(y, sol.ys, sol.threshold_row(i)))
     else:  # fixed threshold, including the geometric-optimal rule
         threshold = max(policy.xi, y)
     if x >= threshold:
