@@ -21,6 +21,9 @@ SIM = ["--reps", "50", "--seed", "3"]
 CASES = {
     "offline-lines": ["offline", "--n", "20", "--reps", "50", "--seed", "2"],
     "offline-json": ["offline", "--n", "20", "--reps", "50", "--seed", "2", "--json"],
+    "offline-long-json": [
+        "offline", "--n", "1000", "--reps", "20", "--seed", "2", "--json"
+    ],
     "finite-lines": ["finite", "--n", "20", "--grid", "101"],
     "finite-json": ["finite", "--n", "20", "--grid", "101", "--json"],
     "geometric-lines": ["geometric", "--rho", "0.9", "--grid", "101", "--tol", "1e10"],
@@ -50,6 +53,7 @@ CASES = {
 GOLDEN = {
     "offline-lines": "7c14ffb3dceed7380f6061fee077330072e2ee939fd6393c841b75c845ed497f",
     "offline-json": "857bb88ccc5df1dd534a764a4fbd91d1434fde14edf02c7b9c0405aae90575c1",
+    "offline-long-json": "f4914588ac9c0062f7f46f63cfed7271377e68ec98e6d65811bd6ac799c734e2",
     "finite-lines": "7519dcdfdf2d1ba0f7f75f9ba7e733cd5152d6e1c4317eaa8f275b0b5b06e0e8",
     "finite-json": "79ab686cf55d87b4875a411946f1ab26a5291a4461c4acbc7d8f98dfbac22af4",
     "geometric-lines": "257d4d2141b9dfacd582de2a0cb8a56c2d01a79f443d05a08a7d87391f457046",

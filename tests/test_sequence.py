@@ -1,7 +1,11 @@
 """Offline statistic: linear scan vs exhaustive oracle, moment formulas."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altseq import (
     ORACLE_MAX_LENGTH,
@@ -10,7 +14,23 @@ from altseq import (
     longest_alternating_oracle,
     permutation_moments,
 )
+from altseq import sequence
 from conftest import seeded_rng
+
+# ties, both signed zeros, infinities and NaN, which compares false with all
+SPECIAL = [0.0, 0.25, 0.5, math.nan, math.inf, -math.inf, -0.0]
+AS_INPUT = [np.ndarray.tolist, np.asarray, memoryview]
+
+
+def scan(values, switch, window=sequence.SCAN_WINDOW):
+    """longest_alternating with its numpy switch and window set."""
+    with mock.patch.multiple(sequence, SCAN_SWITCH=switch, SCAN_WINDOW=window):
+        return longest_alternating(values)
+
+
+def draws(seed, length, special):
+    rng = seeded_rng(seed)
+    return rng.choice(SPECIAL, length) if special else rng.random(length)
 
 
 def test_scan_examples():
@@ -60,6 +80,40 @@ def test_scan_reads_a_float64_memoryview_as_its_list():
             assert longest_alternating(memoryview(xs)) == longest_alternating(
                 xs.tolist()
             )
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 3 * sequence.SCAN_SWITCH),
+    special=st.booleans(),
+    window=st.sampled_from([1, 2, 7, sequence.SCAN_WINDOW]),
+    as_input=st.sampled_from(AS_INPUT),
+)
+def test_numpy_scan_equals_the_loop(seed, length, special, window, as_input):
+    xs = draws(seed, length, special)
+    assert scan(as_input(xs), 0, window) == scan(as_input(xs), math.inf)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, ORACLE_MAX_LENGTH),
+    special=st.booleans(),
+    window=st.sampled_from([1, 2, 7, sequence.SCAN_WINDOW]),
+)
+def test_numpy_scan_matches_oracle(seed, length, special, window):
+    # NaN is left out: it orders against nothing, and the scan does not
+    # keep an earlier value across it as a longest subsequence may
+    xs = [x for x in draws(seed, length, special).tolist() if not math.isnan(x)]
+    assert scan(xs, 0, window) == longest_alternating_oracle(xs)
+
+
+def test_rows_at_the_switch_take_the_numpy_path():
+    xs = seeded_rng(9).random(sequence.SCAN_SWITCH)
+    with mock.patch.object(sequence, "_count_runs", return_value=-1):
+        assert longest_alternating(xs[:-1]) >= 1
+        assert longest_alternating(memoryview(xs)) == -1
 
 
 def test_monotone_transform_invariance():
