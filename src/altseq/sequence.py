@@ -44,6 +44,12 @@ def longest_alternating(values: Sequence[float]) -> int:
     float64 buffer in place and carries the direction of the last move from
     one window of ``SCAN_WINDOW`` pairs to the next.
 
+    A NaN compares false with everything, yet it still becomes the kept
+    value, so nothing before it pairs with anything after it: the count is
+    then not the longest alternating subsequence. ``[0.1, nan, 0.5]`` gives
+    1, where :func:`longest_alternating_oracle` gives 2. Both paths count
+    such rows alike.
+
     Returns 0 for an empty sequence and 1 for any sequence with no strict
     ascent.
     """

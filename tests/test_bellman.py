@@ -1,10 +1,14 @@
 """The Bellman-step kernel: one crossover search gives the value and the threshold."""
 
+import hashlib
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from altseq import _bellman, solve_finite
+from altseq import _bellman, finite, solve_finite
+from conftest import seeded_rng
 
 RHO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
@@ -96,3 +100,172 @@ def test_mapped_zeros_are_writable_zeros_of_the_asked_shape():
         assert not a.any()
         a[...] = 1.5
         assert (a == 1.5).all()
+
+
+# The kernel before its numpy calls were cut down, kept verbatim (docstrings
+# aside) as the reference the kernel must reproduce bit for bit.
+
+
+def cumulative_integral(g: np.ndarray, step: float) -> np.ndarray:
+    out = np.empty_like(g)
+    out[0] = 0.0
+    np.cumsum((g[1:] + g[:-1]) * (0.5 * step), out=out[1:])
+    return out
+
+
+def integral_to(
+    G: np.ndarray, g: np.ndarray, ys: np.ndarray, step: float, m: np.ndarray
+) -> np.ndarray:
+    j = np.minimum((m / step).astype(np.int64), g.size - 2)
+    dm = m - ys[j]
+    slope = (g[j + 1] - g[j]) / step
+    return G[j] + dm * g[j] + 0.5 * dm * dm * slope
+
+
+def last_point_at_least(
+    g: np.ndarray, ys: np.ndarray, step: float, targets: np.ndarray
+) -> np.ndarray:
+    M = g.size
+    k = np.searchsorted(-g, -targets, side="right") - 1
+    k = np.clip(k, 0, M - 1)
+    kn = np.minimum(k + 1, M - 1)
+    denom = g[k] - g[kn]
+    frac = np.where(denom > 0, (g[k] - targets) / np.where(denom > 0, denom, 1.0), 0.0)
+    out = np.where(k >= M - 1, 1.0, ys[k] + step * np.clip(frac, 0.0, 1.0))
+    return np.where(targets > g[0], 0.0, out)
+
+
+def _step(
+    own: np.ndarray, g: np.ndarray, c: np.ndarray, upper: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    step = ys[1] - ys[0]
+    crossover = last_point_at_least(g, ys, step, c)
+    m = np.minimum(crossover, upper)
+    G = cumulative_integral(g, step)
+    return own + integral_to(G, g, ys, step, m) + (upper - m) * c, crossover
+
+
+def apply_flipped(
+    values: np.ndarray, ys: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    c = rho * values
+    tw, crossover = _step(rho * ys * values, 1.0 + c, c, 1.0 - ys, ys)
+    return tw, np.maximum(ys, 1.0 - crossover)
+
+
+#: Shapes of the kernel's input, from uniform draws w in [0, scale).
+SHAPES = {
+    "zero": lambda w: 0.0 * w,
+    "constant": lambda w: np.full_like(w, w[0]),
+    "decreasing": lambda w: np.sort(w)[::-1],
+    "stepped": lambda w: np.sort(np.round(w, 1))[::-1],  # flat stretches
+    "increasing": np.sort,
+    "unordered": lambda w: w,
+}
+
+
+@st.composite
+def kernel_inputs(draw):
+    grid_size = draw(st.integers(min_value=3, max_value=4001))
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    scale = draw(st.floats(min_value=1e-3, max_value=1e3))
+    w = scale * seeded_rng(draw(st.integers(0, 2**32 - 1))).random(grid_size)
+    return _bellman.uniform_grid(grid_size), np.ascontiguousarray(SHAPES[shape](w))
+
+
+def assert_same_bits(new, old):
+    assert new.shape == old.shape and new.dtype == old.dtype == np.float64
+    assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(inputs=kernel_inputs(), rho=RHO | st.sampled_from([5e-324, 1.0]))
+@example(inputs=(_bellman.uniform_grid(4001), np.zeros(4001)), rho=5e-324)
+def test_kernel_reproduces_its_reference_bit_for_bit(inputs, rho):
+    ys, w = inputs
+    for new, old in zip(_bellman.apply_flipped(w, ys, rho), apply_flipped(w, ys, rho)):
+        assert_same_bits(new, old)
+    # the separate search, whose targets are -inf at rho = 5e-324
+    new = _bellman.threshold_curve(w, ys, rho)
+    step = ys[1] - ys[0]
+    old = np.maximum(ys, 1.0 - last_point_at_least(w, ys, step, w - 1.0 / rho))
+    assert_same_bits(new, old)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    inputs=kernel_inputs(),
+    node=st.integers(min_value=0),
+    offset=st.sampled_from([0.0, 1e-9, -1e-9, -np.inf]) | st.floats(-2e3, 2e3),
+)
+def test_search_reproduces_its_reference_for_one_target(inputs, node, offset):
+    # geometric.py passes a float, finite.threshold_at a one-element array
+    ys, w = inputs
+    step = ys[1] - ys[0]
+    target = w[node % w.size] + offset
+    for targets in (target, 0.0, np.asarray([target])):
+        new = _bellman.last_point_at_least(w, ys, step, targets)
+        assert_same_bits(new, last_point_at_least(w, ys, step, targets))
+
+
+@given(grid_size=st.integers(min_value=3, max_value=10001))
+def test_targets_at_or_below_the_last_value_land_on_exactly_one(grid_size):
+    # the search reads the last cell as flat; this gives 1.0 only because
+    # the grid ends at exactly 1.0
+    ys = _bellman.uniform_grid(grid_size)
+    assert ys[-1] == 1.0
+    g = 1.0 - ys
+    targets = np.array([g[-1], -0.5, -np.inf, g[0], np.nextafter(g[0], 2.0), 1.5])
+    u = _bellman.last_point_at_least(g, ys, ys[1] - ys[0], targets)
+    assert u.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _value_iteration(rho, sweeps=300, grid_size=2001):
+    """Every threshold f of T^k(0), k = 1..sweeps, then T^sweeps(0)."""
+    ys = _bellman.uniform_grid(grid_size)
+    w, fs = np.zeros(grid_size), []
+    for _ in range(sweeps):
+        w, f = _bellman.apply_flipped(w, ys, rho)
+        fs.append(f)
+    return *fs, w
+
+
+#: sha256 of the float64 bytes, recorded before the kernel's numpy calls were
+#: cut down. The geometric rows iterate the operator from zero, as plain value
+#: iteration would: solve_flipped's values depend on the BLAS kernel that its
+#: least squares runs on, so no digest of them holds across machines.
+LONG_SWEEPS = {
+    "finite-curve-1000": (
+        lambda: [finite.optimal_expected_curve(1000, 2001)],
+        "83defecd5fb7ed470e6c63d9cbd07e4d630a867b0ccc95b8c11255d01ef4d246",
+    ),
+    "finite-thresholds-1000": (
+        lambda: [finite.solve_finite(1000, 2001).threshold_table],
+        "39d0651e13102aadd46174cd597d7be829412112cb9983935e5904ce7eba330f",
+    ),
+    "rho-0.5": (
+        lambda: _value_iteration(0.5),
+        "a8fbb62ec63bb1e05927b84c0d0f38c23531b8e489a7aa1794de9b895e35d86b",
+    ),
+    "rho-0.9": (
+        lambda: _value_iteration(0.9),
+        "68443a7ca29efb4ed9961aeee32b897159600809e32434a97b12cf069f9eb80e",
+    ),
+    "rho-0.999": (
+        lambda: _value_iteration(0.999),
+        "72719f5b3f2e30cbb16b685986bd9acf9dec93b90c0ca1fd956869c712b57288",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LONG_SWEEPS)
+def test_long_sweeps_keep_their_bits(name):
+    arrays, digest = LONG_SWEEPS[name]
+    assert _sha256(*arrays()) == digest

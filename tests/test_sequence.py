@@ -109,6 +109,30 @@ def test_numpy_scan_matches_oracle(seed, length, special, window):
     assert scan(xs, 0, window) == longest_alternating_oracle(xs)
 
 
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 3 * sequence.SCAN_SWITCH),
+    nans=st.integers(1, 8),
+    window=st.sampled_from([1, 2, 7, sequence.SCAN_WINDOW]),
+)
+def test_both_paths_count_rows_holding_nan_alike(seed, length, nans, window):
+    # a NaN becomes the kept value: nothing before it pairs with what follows
+    rng = seeded_rng(seed)
+    xs = rng.random(length)
+    xs[rng.integers(0, length, nans)] = math.nan
+    # rows below the switch take the loop, the rest numpy; each is held
+    # to the other path
+    assert longest_alternating(xs) == scan(xs, 0, window) == scan(xs, math.inf)
+
+
+def test_nan_splits_a_row_on_both_paths():
+    assert longest_alternating([0.1, math.nan, 0.5]) == 1
+    assert longest_alternating_oracle([0.1, math.nan, 0.5]) == 2
+    xs = [0.1, math.nan] + [0.5] * sequence.SCAN_SWITCH  # the numpy path
+    assert longest_alternating(xs) == scan(xs, math.inf) == 1
+
+
 def test_rows_at_the_switch_take_the_numpy_path():
     xs = seeded_rng(9).random(sequence.SCAN_SWITCH)
     with mock.patch.object(sequence, "_count_runs", return_value=-1):
