@@ -38,6 +38,9 @@ DEFAULT_SEED = 42
 #: requested horizons are simulated at the cap and flagged in the output.
 FINITE_COMPARE_CAP = 1000
 
+#: The fixed-threshold rules run by name, label -> xi; compare runs each too.
+NAMED_RULES = {"greedy": 0.0, "timid": 0.5}
+
 
 def _round9(obj):
     """Round floats to 9 significant digits, recursively; idempotent."""
@@ -88,8 +91,11 @@ def _render(payload: dict, rows: list[dict] | None, form: str) -> str:
     return "".join(f"{k:<{width}}  {v}\n" for k, v in items)
 
 
-def _simulate(label: str, cfg: montecarlo.SimulationConfig) -> dict:
-    """Run cfg on the runner for its horizon; returns its simulation row."""
+def _simulate(label: str, args, policy: Policy, **horizon) -> dict:
+    """Run policy (args.reps, args.seed) on its horizon's runner; returns its row."""
+    cfg = montecarlo.SimulationConfig(
+        reps=args.reps, seed=args.seed, policy=policy, **horizon
+    )
     if cfg.n is not None:
         result = montecarlo.run_fixed_horizon(cfg)
         kind, param, rate = "fixed", cfg.n, result.mean / cfg.n
@@ -148,11 +154,7 @@ def cmd_geometric(args) -> tuple[dict, list[dict] | None]:
 
 def cmd_finite(args) -> tuple[dict, list[dict] | None]:
     finite.check_table_budget(args.n, args.grid)  # with or without --dump-tables
-    if args.dump_tables:
-        sol = finite.solve_finite(args.n, args.grid)
-        value = float(sol.value_table[0, 0])
-    else:  # the same sweep, holding no table
-        value = finite.optimal_expected(args.n, args.grid)
+    value = finite.optimal_expected(args.n, args.grid)  # a sweep holding no table
     lower = (2.0 - SQRT2) * args.n
     upper = lower + 11.0 - 4.0 * SQRT2
     payload = {
@@ -165,7 +167,7 @@ def cmd_finite(args) -> tuple[dict, list[dict] | None]:
         "verdict": "IN" if lower <= value <= upper else "OUT",
     }
     if args.dump_tables:
-        _dump_tables(sol, args.dump_tables)
+        _dump_tables(finite.solve_finite(args.n, args.grid), args.dump_tables)
         payload["tables"] = args.dump_tables
     return payload, None
 
@@ -214,22 +216,14 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
     if name == "threshold":
         if args.xi is None:
             raise ValueError("threshold needs --xi")
-        xi = args.xi
-        label = f"threshold({xi:g})"
-    elif name == "greedy":
-        xi, label = 0.0, "greedy"
-    else:  # timid; argparse choices admit no other name
-        xi, label = 0.5, "timid"
-    return FixedThresholdPolicy(xi), label, horizon
+        return FixedThresholdPolicy(args.xi), f"threshold({args.xi:g})", horizon
+    return FixedThresholdPolicy(NAMED_RULES[name]), name, horizon  # greedy or timid
 
 
 def cmd_simulate(args) -> tuple[dict, list[dict] | None]:
     uniform_grid(args.grid)  # the grid rule, for every policy
     policy, label, horizon = _build_policy(args)
-    cfg = montecarlo.SimulationConfig(
-        reps=args.reps, seed=args.seed, policy=policy, **horizon
-    )
-    row = _simulate(label, cfg)
+    row = _simulate(label, args, policy, **horizon)
     config = {key: row[key] for key in RUN_COLUMNS}
     payload = {
         "command": "simulate",
@@ -247,19 +241,14 @@ def cmd_compare(args) -> tuple[dict, list[dict] | None]:
     finite_label = "finite-optimal" if n_finite == args.n else (
         f"finite-optimal(reduced n={n_finite})"
     )
-    rows = []
-    for label, policy, n in [
-        ("greedy", FixedThresholdPolicy(0.0), args.n),
-        ("timid", FixedThresholdPolicy(0.5), args.n),
-        (f"threshold({xi_star:.6f})", FixedThresholdPolicy(xi_star), args.n),
-        (finite_label, None, n_finite),
-    ]:
-        if policy is None:  # solved last: no threshold row is held during the others
-            policy = FiniteOptimalPolicy(finite.solve_finite(n, args.grid))
-        cfg = montecarlo.SimulationConfig(
-            reps=args.reps, seed=args.seed, policy=policy, n=n
-        )
-        rows.append(_simulate(label, cfg))
+    rules = {**NAMED_RULES, f"threshold({xi_star:.6f})": xi_star}
+    rows = [
+        _simulate(label, args, FixedThresholdPolicy(xi), n=args.n)
+        for label, xi in rules.items()
+    ]
+    # solved last: no threshold row is held during the others
+    policy = FiniteOptimalPolicy(finite.solve_finite(n_finite, args.grid))
+    rows.append(_simulate(finite_label, args, policy, n=n_finite))
     payload = {
         "command": "compare",
         "config": {
@@ -311,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy",
         required=True,
-        choices=["greedy", "timid", "threshold", "geometric-optimal",
+        choices=[*NAMED_RULES, "threshold", "geometric-optimal",
                  "finite-optimal", "concat"],
     )
     p.add_argument("--n", type=int, default=None)

@@ -83,6 +83,30 @@ def test_finite_dump_tables(tmp_path, capsys):
         assert float(row["threshold"]) >= float(row["y"]) - 1e-12
 
 
+def test_dump_tables_past_the_settled_stages(tmp_path, capsys):
+    from altseq.finite import solve_finite
+
+    argv = ["finite", "--n", "100", "--grid", "101", "--json"]
+    path = tmp_path / "tables.csv"
+    _, plain = run_cli(capsys, *argv)
+    _, dumped = run_cli(capsys, *argv, "--dump-tables", str(path))
+    assert json.loads(dumped)["value"] == json.loads(plain)["value"]
+    sol = solve_finite(100, 101)
+    assert len(sol.threshold_table) == 72  # stages 1-29 share its row 0
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 100 * 101
+    first = [f"{t:.9g}" for t in sol.threshold_table[0]]
+    for i in range(1, 101):
+        stage = rows[(i - 1) * 101 : i * 101]
+        assert {row["stage"] for row in stage} == {str(i)}
+        for column, curve in [("value", sol.value_row(i)),
+                              ("threshold", sol.threshold_row(i))]:
+            assert [row[column] for row in stage] == [f"{v:.9g}" for v in curve]
+        if i <= 29:
+            assert [row["threshold"] for row in stage] == first
+
+
 def test_simulate_csv_schema(capsys):
     code, out = run_cli(
         capsys,
@@ -256,6 +280,18 @@ def test_compare_rows_describe_their_runs(capsys):
         assert list(row) == SIM_ROW_KEYS
         assert [row[key] for key in SIM_ROW_KEYS[1:5]] == ["fixed", 20, 30, 4]
         assert type(row["horizon_param"]) is int
+
+
+def test_compare_runs_the_named_rules_as_simulate_does(capsys):
+    run = ["--n", "30", "--reps", "200", "--seed", "9", "--json"]
+    _, out = run_cli(capsys, "compare", *run)
+    compared = json.loads(out)["rows"][:3]
+    policies = [["greedy"], ["timid"], ["threshold", "--xi", "0.29289321881345254"]]
+    for row, policy in zip(compared, policies, strict=True):
+        _, out = run_cli(capsys, "simulate", "--policy", *policy, *run)
+        simulated = json.loads(out)["result"]
+        for key in ["mean", "variance", "std_error", "rate"]:
+            assert row[key] == simulated[key], (policy[0], key)
 
 
 def test_out_file_json(tmp_path, capsys):
