@@ -6,18 +6,18 @@ The single-variable recursion, solved from the terminal stage down, is
 
 with v[n+1] identically 0. The operator does not depend on the stage, so
 v[i] for horizon n equals the (n - i + 1)-fold application of the rho=1
-Bellman operator to zero; one upward sweep therefore prices every remaining
-horizon at once, and each application also returns the threshold of the
-stage it prices. Unlike the geometric case the value rows are not flat on an
-initial segment, so thresholds are stored as full per-stage curves rather
-than a single scalar per stage. The curves settle within a few dozen stages
-onto the stationary rule max(y, 1 - 1/sqrt(2)), so the sweep that solves a
-policy stops there; only the value table needs every stage.
+Bellman operator to zero, each also returning its stage's threshold as a full
+curve (the value rows are not flat on an initial segment, as geometric ones
+are). The curves settle within a few dozen stages, at K, onto the stationary
+rule max(y, 1 - 1/sqrt(2)), where a policy's sweep stops; each later sweep
+adds the same amount to v_k = T^k(0)(0) to rounding, so n > 2K is priced as
+v_K + (n - K)(v_2K - v_K)/K. Only the value table needs every stage.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -108,6 +108,11 @@ def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield w, f
 
 
+def _settled(k: int, f: np.ndarray, f_prev: np.ndarray | None) -> bool:
+    """Whether rows f_k and f_(k-1) end a sweep: the STAGE_TOL rule, k >= 3."""
+    return k >= 3 and np.max(np.abs(f - f_prev)) <= STAGE_TOL
+
+
 def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     """Solve the n-stage problem, sweeping until its threshold rows settle."""
     n = check_horizon(n)
@@ -120,7 +125,7 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
         if k > len(rows):
             rows.resize((min(n, 2 * k), grid_size), refcheck=False)
         rows[k - 1] = f
-        if k >= 3 and np.max(np.abs(f - rows[k - 2])) <= STAGE_TOL:
+        if _settled(k, f, rows[k - 2]):
             break
     threshold_table = _bellman.mapped_zeros((k, grid_size))
     threshold_table[:] = rows[k - 1 :: -1]  # stage order: row 0 is stage n - k + 1
@@ -129,12 +134,22 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
 
 
 def optimal_expected(n: int, grid_size: int = DEFAULT_GRID) -> float:
-    """Expected selections of the optimal policy: the stage-1 value at y = 0."""
-    return float(optimal_expected_curve(n, grid_size)[-1])
+    """Expected selections of the optimal policy: the stage-1 value at y = 0.
+
+    v_K + (n - K)(v_2K - v_K)/K from 2K sweeps if n > 2K, else the swept v_n.
+    """
+    sweep = _sweep(check_horizon(n), _bellman.uniform_grid(grid_size))
+    f_prev = None
+    for k, (w, f) in enumerate(sweep, start=1):
+        if 2 * k < n and _settled(k, f, f_prev):
+            v_2k = next(itertools.islice(sweep, k - 1, None))[0][0]  # the k-th next
+            return float(w[0] + (n - k) * (v_2k - w[0]) / k)
+        f_prev = f
+    return float(w[0])
 
 
 def optimal_expected_curve(n_max: int, grid_size: int = DEFAULT_GRID) -> np.ndarray:
-    """optimal_expected(n) for every n in 1..n_max from a single sweep."""
+    """The full sweep's v_n for every n in 1..n_max: optimal_expected to n = 2K."""
     n_max = check_horizon(n_max)
     ys = _bellman.uniform_grid(grid_size)
     return np.array([w[0] for w, _ in _sweep(n_max, ys)])

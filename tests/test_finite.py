@@ -303,7 +303,10 @@ def test_the_value_table_is_built_on_first_read_from_the_full_sweep():
     table = sol.value_table
     assert sol.value_table is table
     assert table.shape == (n + 1, 101)
-    assert table[0, 0] == optimal_expected(n, grid_size=101)
+    # n = 300 is past 2K = 144, where optimal_expected extrapolates; the
+    # curve stays the full sweep
+    assert table[0, 0] == optimal_expected_curve(n, grid_size=101)[-1]
+    assert abs(table[0, 0] - optimal_expected(n, grid_size=101)) <= 1e-9
     assert np.all(table[n] == 0.0)
 
 
@@ -342,3 +345,49 @@ def test_the_additive_constant_of_the_optimal_value():
     for n in (100, 1000):
         extrapolated = c[4001][n - 1] + (c[4001][n - 1] - c[2001][n - 1]) / 3
         assert abs(extrapolated - 0.2612217) < 1e-6, n
+
+
+@pytest.fixture(scope="module")
+def full_curves():
+    """{grid: (K, the full sweep's v_n for n = 1..9000)}."""
+    return {
+        m: (len(solve_finite(1000, m).threshold_table), optimal_expected_curve(9000, m))
+        for m in (101, 2001, 4001)
+    }
+
+
+@pytest.mark.parametrize("grid_size", [101, 2001, 4001])
+def test_priced_horizons_match_the_full_sweep(full_curves, grid_size):
+    # past 2K the value is extrapolated from v_K and v_2K; the gap to the full
+    # sweep grows with n as that sweep's own rounding drift does
+    k, curve = full_curves[grid_size]
+    assert k == 72
+    for n in (2 * k - 1, 2 * k, 2 * k + 1, 300, 1000, 5000, 9000):
+        value, swept = optimal_expected(n, grid_size), curve[n - 1]
+        if n <= 2 * k:
+            assert value == swept, n
+        assert abs(value - swept) <= (1e-9 if n <= 1000 else 2e-12 * n), n
+
+
+def test_priced_horizons_keep_the_full_sweep_bits_where_no_row_settles():
+    # grid 3's rows do not settle before n, so nothing is extrapolated
+    n = 500
+    sol = solve_finite(n, grid_size=3)
+    assert len(sol.threshold_table) == n
+    assert optimal_expected(n, grid_size=3) == optimal_expected_curve(n, grid_size=3)[-1]
+
+
+def test_pricing_any_horizon_takes_at_most_2k_sweeps(monkeypatch):
+    k = len(solve_finite(1000, 2001).threshold_table)  # n = 10^9 is over budget
+    calls = 0
+    apply_flipped = _bellman.apply_flipped
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2 * k, "swept past 2K"  # fail now, not after 10^9 sweeps
+        return apply_flipped(*args)
+
+    monkeypatch.setattr(_bellman, "apply_flipped", counted)
+    assert math.isfinite(optimal_expected(10**9, 2001))
+    assert calls <= 2 * k
