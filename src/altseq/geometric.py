@@ -22,12 +22,9 @@ import numpy as np
 from . import _bellman
 from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2
 
-#: Earlier steps each Anderson step combines (Walker & Ni, SIAM J. Numer.
-#: Anal. 49(4), 2011).
-ANDERSON_DEPTH = 3
 #: A step whose residual exceeds the best one so far by this factor has gone
-#: astray. Accelerated flipped solves on grids of 11 to 2001 points, rho up
-#: to 0.9999, stay within 1.4 times their best residual.
+#: astray. Accelerated flipped solves on grids of 11 to 2001 points, rho from
+#: 0.3 to 0.9999, stay within 1.45 times their best residual.
 ASTRAY_FACTOR = 10.0
 
 
@@ -102,13 +99,17 @@ def _fixed_point(
     Every iteration makes exactly one call apply(x) = (T(x), d(x)), where
     d > 0 is a diagonal preconditioner (1.0 for none). It steps along
     g = (T(x) - x) / d(x), which is zero exactly at the fixed point, mixed
-    with the last ANDERSON_DEPTH steps by least squares (Anderson
-    acceleration). project, if given, maps each new iterate into a set
-    known to hold the fixed point. A mixed step whose residual exceeds
-    ASTRAY_FACTOR times the best one, or is not a number, sends the
-    iteration back to the best iterate; from there it takes plain steps
-    x + g until the residual improves on the best, then mixes again. The
-    run stops with ConvergenceError after _iteration_cap iterations.
+    with the previous step by a secant (Anderson acceleration of depth 1;
+    Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with dx, dg the changes
+    in x and g since then, the next iterate is x + g - gamma*(dx + dg) for
+    gamma = <dg, g>/<dg, dg>, or the plain x + g unless <dg, dg> > 0. Both
+    dot products are numpy's pairwise sums of exact elementwise products,
+    so no BLAS kernel touches the result. project, if given, maps each new
+    iterate into a set known to hold the fixed point. A mixed step whose
+    residual exceeds ASTRAY_FACTOR times the best one, or is not a number,
+    sends the iteration back to the best iterate; from there it takes plain
+    steps x + g until the residual improves on the best, then mixes again.
+    The run stops with ConvergenceError after _iteration_cap iterations.
 
     Returns (T(x), sup|T(x) - x|, iterations) for the first iterate x whose
     residual is below tol; T(x) then lies within rho/(1-rho) * residual of
@@ -124,8 +125,7 @@ def _fixed_point(
         )
     cap = _iteration_cap(rho, tol)
     best_residual, best_x, best_g = math.inf, x, None
-    xs: list[np.ndarray] = []
-    gs: list[np.ndarray] = []
+    last = None
     mixing = True
     for iteration in range(1, cap + 1):
         tx, d = apply(x)
@@ -139,20 +139,16 @@ def _fixed_point(
             mixing = True
         elif mixing and not residual <= ASTRAY_FACTOR * best_residual:
             x, g = best_x, best_g
-            xs, gs = [], []
+            last = None
             mixing = False
-        xs.append(x)
-        gs.append(g)
-        del xs[: -ANDERSON_DEPTH - 1], gs[: -ANDERSON_DEPTH - 1]
-        if mixing and len(xs) > 1:
-            dx = np.diff(xs, axis=0).T
-            dg = np.diff(gs, axis=0).T
-            gamma = np.linalg.lstsq(dg, g, rcond=None)[0]
-            x = x + g - (dx + dg) @ gamma
-        else:
-            x = x + g
-        if project is not None:
-            x = project(x)
+        step = x + g
+        if mixing and last is not None:
+            dx, dg = x - last[0], g - last[1]
+            dgdg = np.add.reduce(dg * dg)
+            if dgdg > 0.0:
+                step -= np.add.reduce(dg * g) / dgdg * (dx + dg)
+        last = x, g
+        x = step if project is None else project(step)
     raise ConvergenceError(
         f"fixed-point solve at rho={rho} did not reach tol={tol} in {cap} iterations"
     )
@@ -175,8 +171,9 @@ def solve_flipped(
     threshold f(y), which apply_flipped returns with T(v). Dividing the
     residual by 1 - rho*f(y) (a Jacobi splitting; Puterman 1994, section
     6.3.3) removes that term, whose part of the spectrum piles up near rho
-    as y -> 1, and leaves an operator that Anderson acceleration solves in
-    about twenty applications for any rho up to 0.9999.
+    as y -> 1, and leaves an operator that the secant steps of _fixed_point
+    solve in 10 to 36 applications on grids of 11 to 2001 points, for rho
+    from 0.3 to 0.9999.
     """
     rho = check_rho(rho)
     ys = _bellman.uniform_grid(grid_size)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from altseq import _bellman, finite, solve_finite
+from altseq import _bellman, finite, geometric, solve_finite
 from conftest import seeded_rng
 
 RHO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -237,10 +237,22 @@ def _value_iteration(rho, sweeps=300, grid_size=2001):
     return *fs, w
 
 
-#: sha256 of the float64 bytes, recorded before the kernel's numpy calls were
-#: cut down. The geometric rows iterate the operator from zero, as plain value
-#: iteration would: solve_flipped's values depend on the BLAS kernel that its
-#: least squares runs on, so no digest of them holds across machines.
+def _flipped(rho):
+    grid = geometric.solve_flipped(rho, 2001)
+    return grid.values, [grid.xi_estimate]
+
+
+def _two_state(rho):
+    sol = geometric.solve_two_state(rho, 501)
+    return sol.v_after_min, sol.v_after_max
+
+
+#: sha256 of the float64 bytes. The finite and rho rows were recorded before
+#: the kernel's numpy calls were cut down; the rho rows iterate the operator
+#: from zero, as plain value iteration would. The solve rows pin the
+#: accelerated solvers: their secant step takes its dot products by numpy's
+#: pairwise sum, not BLAS, so these digests hold whichever BLAS kernel numpy
+#: loads.
 LONG_SWEEPS = {
     "finite-curve-1000": (
         lambda: [finite.optimal_expected_curve(1000, 2001)],
@@ -261,6 +273,26 @@ LONG_SWEEPS = {
     "rho-0.999": (
         lambda: _value_iteration(0.999),
         "72719f5b3f2e30cbb16b685986bd9acf9dec93b90c0ca1fd956869c712b57288",
+    ),
+    "solve-flipped-0.5": (
+        lambda: _flipped(0.5),
+        "cc115baab9c6d1a21d0fa068efff67acad1b749d23cebee4c85e52d0d2939e29",
+    ),
+    "solve-flipped-0.9": (
+        lambda: _flipped(0.9),
+        "3cf86948e0467136f3b81d878c112f386bfb7f7431ad8cb858d36c72836eb37d",
+    ),
+    "solve-flipped-0.999": (
+        lambda: _flipped(0.999),
+        "a385c1d74b2e57603e8e9ffc28f95d5efedf78c919a85a127aee47e185ed6202",
+    ),
+    "solve-two-state-0.5": (
+        lambda: _two_state(0.5),
+        "3a5bf6095f4ec2edf80cf4df0db44637ac62442d218a304e2a3fc206eb54695a",
+    ),
+    "solve-two-state-0.9": (
+        lambda: _two_state(0.9),
+        "0f45392c13ee533648417d4dd86d1b860fd7060c68ed727f0c846ec16cba87ec",
     ),
 }
 

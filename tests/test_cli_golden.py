@@ -1,10 +1,9 @@
 """Golden CLI output: exit code, stdout, stderr and written files, byte for byte.
 
 Each case runs main in an empty directory with relative paths, and its
-digest covers everything the run leaves behind. Multi-step geometric solves
-are left out: their residual digits depend on the LAPACK build's least
-squares. The README examples are run as well, with --reps capped at 500 and
-the library example's replicates cut from 100_000 to 2_000.
+digest covers everything the run leaves behind. The README examples are run
+as well, with --reps capped at 500 and the library example's replicates cut
+from 100_000 to 2_000.
 """
 
 import hashlib
@@ -30,6 +29,8 @@ CASES = {
     "geometric-json": [
         "geometric", "--rho", "0.9", "--grid", "101", "--tol", "1e10", "--json"
     ],
+    "geometric-solve-lines": ["geometric", "--rho", "0.9", "--grid", "101"],
+    "geometric-solve-json": ["geometric", "--rho", "0.9", "--grid", "101", "--json"],
     "simulate-rows": ["simulate", "--policy", "greedy", "--n", "20", *SIM],
     "simulate-json": [
         "simulate", "--policy", "geometric-optimal", "--rho", "0.8", *SIM, "--json"
@@ -58,6 +59,8 @@ GOLDEN = {
     "finite-json": "79ab686cf55d87b4875a411946f1ab26a5291a4461c4acbc7d8f98dfbac22af4",
     "geometric-lines": "257d4d2141b9dfacd582de2a0cb8a56c2d01a79f443d05a08a7d87391f457046",
     "geometric-json": "c2be283b760a72c90ed0fd64cdffc9341c487983e143ed68e52923aa0e5813fb",
+    "geometric-solve-lines": "ed74a2f84c3e4835a84763efe1d5c57b5386f7c77db45f5b071fbb09aa75c82f",
+    "geometric-solve-json": "9591de0175d05514143d233eb888da0c18eea17844729839e541a5635baae36e",
     "simulate-rows": "65fb3cf2bc6649b106256fc866a4d7b7a79915b05f4d73fbc5663ae99a2cbe4f",
     "simulate-json": "b1fd83d160567070791df3296018e009dc9c1c03af76f5194da8da8e6ec9755d",
     "compare-rows": "5c396bb7f289e90bc0cc686eaa3c0f38caffa7c7f78bcc1aa9d33366b10bbb95",
@@ -111,7 +114,8 @@ def test_readme_library_example_gives_its_documented_values():
     block = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     scope = {}
     exec(block.replace("100_000", "2_000"), scope)
-    # the digits the comments print; the iteration count depends on LAPACK
+    # the digits the comments print
     assert f"{scope['grid'].values[0]:.4f}" == "6.0485"
+    assert scope["grid"].iterations == 22
     assert f"{scope['grid'].xi_estimate:.5f}" == "0.24687"
     assert f"{scope['sol'].value_table[0, 0]:.2f}" == "58.84"

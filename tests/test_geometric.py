@@ -159,10 +159,10 @@ def test_extract_threshold_examples():
     # A grid scan with linear interpolation in the straddling cell gives
     # these estimates; the pins assume the solve reproduces bit for bit.
     for rho, expected in [
-        (0.75, 0.15482211360212203),
-        (0.9, 0.24686958097382167),
-        (0.99, 0.2887093792084534),
-        (0.999, 0.29247858119414827),
+        (0.75, 0.15482211361809017),
+        (0.9, 0.2468695809684197),
+        (0.99, 0.2887093791976395),
+        (0.999, 0.2924785811914319),
     ]:
         grid = solve_flipped(rho, grid_size=2001, tol=1e-10)
         assert grid.xi_estimate == pytest.approx(expected, abs=1e-15)
@@ -309,6 +309,26 @@ def test_fixed_point_recovers_from_a_step_gone_astray(fault):
     reference = _value_iteration(rho, grid_size, tol)
     bound = 2 * rho / (1 - rho) * tol
     assert np.max(np.abs(values - reference)) <= bound + 1e-12 * reference[0]
+
+
+def test_fixed_point_steps_plainly_when_the_step_repeats():
+    import altseq.geometric as geo
+
+    inputs = []
+
+    def apply(x):
+        inputs.append(x.copy())
+        if len(inputs) <= 2:
+            return x + 0.25, 1.0  # the same step twice: <dg, dg> = 0
+        return 0.5 * x + 1.0, 1.0
+
+    with np.errstate(all="raise"):  # a 0/0 secant weight would raise
+        values, residual, iterations = geo._fixed_point(apply, np.zeros(3), 0.5, 1e-10)
+    assert np.all(np.isfinite(inputs))
+    assert inputs[2].tolist() == [0.5, 0.5, 0.5]  # x + g, unmixed
+    assert residual < 1e-10
+    assert iterations == len(inputs)
+    assert values.tolist() == pytest.approx([2.0, 2.0, 2.0], abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
