@@ -11,7 +11,9 @@ first (geometric runs only), then the observations.
 A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
 live, cut at CHUNK_TARGET_ELEMENTS observations or where half its rows have
-ended, so a block holds at most twice its live observations.
+ended, so a block holds at most twice its live observations. A slice
+narrower than LANE_WIDTH // 8 rows steps as lanes, side by side, if its
+policy has a coalescence level: each row is cut where every state selects.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ from .sequence import longest_alternating
 MAX_CHUNK = 8192
 #: Observations stored at once: the size of a slice, unless one step is wider.
 CHUNK_TARGET_ELEMENTS = 4_000_000
+#: Lanes stepped at once. A slice narrower than LANE_WIDTH // 8 rows steps as
+#: lanes if its policy has a coalescence level. ns per observation to step a
+#: slice, loop against lanes, median of 15 on a shared 2-core Xeon: 161 and 16.8
+#: at 20 rows, 23.5 and 14.0 at 200, 16.1 and 15.9 at 500, 11.1 and 13.0 at
+#: 1000; 2048 or 8192 lanes took 15.0 or 14.2 at 200 rows.
+LANE_WIDTH = 4096
 
 
 def check_run(
@@ -149,6 +157,39 @@ def _aggregate(counts: np.ndarray) -> RunResult:
     )
 
 
+def _step_lanes(policy, view, X, lengths, segments: int, t0: int) -> np.ndarray:
+    """Step a slice's rows as lanes, side by side; returns the rows' counts.
+
+    The slice X (steps x rows, from step t0) is cut into segments of L steps.
+    Lane l of a row runs from its first observation at or above the level at
+    or after step l*L (lane 0 from step 0) to the next lane's start or the
+    row's end. Each lane starts from the row's state, which that observation
+    forgets, so the lanes' counts add up to the row's, and the row keeps the
+    state of its last lane that stepped.
+    """
+    T, w = X.shape
+    L = -(-T // segments)
+    S = -(-T // L)  # no segment is empty
+    cuts = np.tile(np.minimum(lengths, t0 + T) - t0, (S + 1, 1))  # row S: the ends
+    for s in range(1, S):  # one L x w boolean at a time
+        hit = X[s * L : (s + 1) * L] >= policy.coalescence_level
+        cuts[s] = np.where(hit.any(0), s * L + hit.argmax(0), T)
+    cuts = np.minimum.accumulate(cuts[::-1])[::-1]
+    cuts[0] = 0
+    start, stop, rows = cuts[:-1], cuts[1:], np.arange(w)
+    base, end = start * w + rows, stop * w + rows  # flat indices into X
+    lanes = {key: np.broadcast_to(v, (S, w)).copy() for key, v in view.items()}
+    tally = np.zeros((S, w), dtype=np.int64)
+    flat = X.reshape(-1)
+    for i in range(t0 + 1, t0 + 1 + int(np.max(stop - start))):
+        tally += policy.step_batch(lanes, i, flat.take(base, mode="clip"), base < end)
+        base += w
+    last = S - 1 - (stop > start)[::-1].argmax(0)
+    for key, v in view.items():
+        v[:] = lanes[key][last, rows]
+    return tally.sum(0)
+
+
 def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
     """Run rows of non-increasing lengths through the policy; returns counts.
 
@@ -169,12 +210,20 @@ def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
             if h > t1:
                 running.append(rng)
         view = {key: v[:w] for key, v in batch.items()}
-        for i, x in enumerate(X, start=t0 + 1):
-            while lengths[k - 1] < i:  # k rows have horizon >= i
-                k -= 1
-            active = None if k == w else index[:w] < k
-            counts[:w] += policy.step_batch(view, i, x, active)
-        del X, x  # unmapped before the next slice is mapped
+        level = policy.coalescence_level
+        # segments of >= 36 / -ln(level) steps: 4x the longest overshoot of 8192 lanes
+        segments = 0 if level is None or w >= LANE_WIDTH // 8 else min(
+            -(-LANE_WIDTH // w), (t1 - t0) // math.ceil(36 / -math.log(level))
+        )
+        if segments >= 2:
+            counts[:w] += _step_lanes(policy, view, X, lengths[:w], segments, t0)
+        else:
+            for i, x in enumerate(X, start=t0 + 1):
+                while lengths[k - 1] < i:  # k rows have horizon >= i
+                    k -= 1
+                active = None if k == w else index[:w] < k
+                counts[:w] += policy.step_batch(view, i, x, active)
+        X = x = None  # unmapped before the next slice is mapped
         held, t0, w = running, t1, len(running)
     return counts
 

@@ -22,7 +22,15 @@ REGEN_LEVEL = 1.0 / 6.0
 
 
 class Policy:
-    """Batch decision procedure; subclasses define the threshold rule."""
+    """Batch decision procedure; subclasses define the threshold rule.
+
+    step_batch works elementwise, on rows or on (lanes x rows) arrays. A
+    coalescence_level promises that the threshold ignores i and is at most
+    the level in every reachable state: an observation at or above it is
+    selected from every state, and the next state 1 - x forgets the past.
+    """
+
+    coalescence_level: float | None = None
 
     def threshold(self, i: int, y):
         """Acceptance threshold for observation i in state y (array or scalar);
@@ -53,6 +61,9 @@ class FixedThresholdPolicy(Policy):
 
     def __init__(self, xi: float):
         self.xi = check_xi(xi)
+        # max(xi, y) <= fl(1 - xi) for every reachable y = 1 - x, as xi <= 1/2
+        level = 1.0 - self.xi
+        self.coalescence_level = level if level < 1.0 else None  # 1.0 cuts nothing
 
     def threshold(self, i: int, y):
         return np.maximum(self.xi, y)

@@ -49,6 +49,19 @@ CASES = {
     "bad-suffix": ["simulate", "--policy", "greedy", "--n", "5", "--out", "r.txt"],
     "two-horizons": ["simulate", "--policy", "greedy", "--n", "10", "--rho", "0.5"],
     "over-budget": ["finite", "--n", "20000", "--grid", "2001"],
+    # long rows of threshold rules, which step as lanes; digests recorded on
+    # the runner that stepped every observation alone
+    "simulate-timid-long-json": [
+        "simulate", "--policy", "timid", "--n", "20000", "--reps", "3", "--seed", "3",
+        "--json",
+    ],
+    "simulate-geometric-long-json": [
+        "simulate", "--policy", "geometric-optimal", "--rho", "0.9999", "--reps", "16",
+        "--seed", "3", "--json",
+    ],
+    "compare-long-json": [
+        "compare", "--n", "10000", "--reps", "20", "--seed", "3", "--json"
+    ],
 }
 
 GOLDEN = {
@@ -73,6 +86,9 @@ GOLDEN = {
     "bad-suffix": "63c7352bb8fd73fd159cfdd8745a2b2324e7f325209058a8e1082ccc765355af",
     "two-horizons": "b1ca6473f5ac7c308685e22d225f6f34f25c1c6618098a5b3365fa8297194491",
     "over-budget": "6aa271a22784cfe24b2001aeccb9bd58cb23d7ff744aa3a7db6dc3876de07396",
+    "simulate-timid-long-json": "602e0e09d753ed55b394fa48e1c0b6e9925e9f2f54fc3cd6328f99d1d873054a",
+    "simulate-geometric-long-json": "4e89cd970d425458be6019d54d78d9f7a2df4b2c5b7c563d15c6dd0e7aacac2f",
+    "compare-long-json": "f9e89611d392e9370e3d6de829db7429c7868ee302500a5796cea3db59974018",
 }
 
 

@@ -361,6 +361,20 @@ def test_a_replicate_longer_than_the_budget_is_sliced(monkeypatch):
     assert np.array_equal(counts, unpatched)
 
 
+def test_one_long_row_steps_as_lanes():
+    # Cut at its renewal observations, one row of 400,000 observations steps
+    # as thousands of lanes at once, not one step_batch call per observation.
+    policy = FixedThresholdPolicy(0.29)
+    cfg = SimulationConfig(reps=1, seed=5, policy=policy, n=400_000)
+    with mock.patch.object(
+        FixedThresholdPolicy, "step_batch", autospec=True,
+        side_effect=FixedThresholdPolicy.step_batch,
+    ) as step:
+        res = run_fixed_horizon(cfg)
+    assert res.per_rep_counts.tolist() == [233908]
+    assert 0 < step.call_count < 0.02 * cfg.n
+
+
 @pytest.mark.parametrize(
     "patch, n, reps, requests",
     [

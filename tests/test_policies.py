@@ -266,6 +266,49 @@ def test_batch_path_matches_scalar_path(
             )
 
 
+def test_coalescence_level_is_one_minus_xi_below_one(sol_n10):
+    assert FixedThresholdPolicy(0.5).coalescence_level == 0.5
+    assert FixedThresholdPolicy(0.25).coalescence_level == 0.75
+    assert FixedThresholdPolicy(1.1e-16).coalescence_level == 1.0 - 2.0**-53
+    assert GeometricOptimalPolicy(0.9).coalescence_level == 1.0 - xi0_closed(0.9)
+    # 1 - xi rounds to 1.0: no observation is certain to be selected
+    for xi in (0.0, 5e-324, 1e-300, 2.0**-54):
+        assert FixedThresholdPolicy(xi).coalescence_level is None
+    assert GeometricOptimalPolicy(0.5).coalescence_level is None  # xi0 = 0
+    assert FiniteOptimalPolicy(sol_n10).coalescence_level is None
+    assert ConcatenatedPolicy(sol_n10).coalescence_level is None
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=40),
+    horizon=st.integers(min_value=520, max_value=2500),
+    ragged=st.booleans(),
+    xi=st.floats(min_value=0.0, max_value=0.5),
+    rho=st.floats(min_value=0.9, max_value=1.0, exclude_max=True),
+    span=st.integers(min_value=260, max_value=3000),
+)
+@example(seed=5, rows=1, horizon=2500, ragged=False, xi=0.5, rho=0.9, span=300)
+@example(seed=5, rows=40, horizon=2000, ragged=True, xi=1e-300, rho=0.99, span=700)
+@example(seed=5, rows=7, horizon=1000, ragged=True, xi=5e-324, rho=0.999, span=260)
+def test_lanes_match_scalar_path(seed, rows, horizon, ragged, xi, rho, span):
+    # Rows of at least half the horizon and slices of span >= 260 steps: every
+    # first slice is long enough for the geometric-optimal rule (xi0 >= 0.24)
+    # to step as lanes; a span below the horizon carries rows across slices.
+    rng = seeded_rng(seed)
+    X = rng.random((rows, horizon))
+    lengths = rng.integers(horizon // 2, horizon + 1, size=rows) if ragged else None
+    spy = mock.patch.object(montecarlo, "_step_lanes", wraps=montecarlo._step_lanes)
+    with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", span * rows):
+        for policy in (FixedThresholdPolicy(xi), GeometricOptimalPolicy(rho)):
+            with spy as lanes:
+                assert np.array_equal(
+                    batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
+                )
+    assert lanes.called  # by the geometric-optimal rule
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
