@@ -51,7 +51,7 @@ class Policy:
         sel = x >= self.threshold(i, y)
         if active is not None:
             sel &= active
-        np.copyto(y, 1.0 - x, where=sel)
+        y[...] = np.where(sel, 1.0 - x, y)
         return sel
 
 
@@ -91,9 +91,9 @@ class FiniteOptimalPolicy(Policy):
 def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):
     # Linear interpolation of table[rows] at points y, row chosen per entry;
     # one flat index gathers table[rows, j].
-    step = ys[1] - ys[0]
-    j = np.minimum((y / step).astype(np.int64), ys.size - 2)
-    frac = y / step - j
+    u = y / (ys[1] - ys[0])
+    j = np.minimum(u.astype(np.int64), ys.size - 2)
+    frac = u - j
     flat = rows * ys.size + j
     return table.take(flat) * (1.0 - frac) + table.take(flat + 1) * frac
 
@@ -115,6 +115,8 @@ class ConcatenatedPolicy(Policy):
             )
         self.solution = solution
         self.n = solution.n
+        # threshold_table row per block position; seeking (0) reads one unused
+        self._rows = solution.stage_rows(np.arange(self.n - 1))
 
     def new_batch(self, size: int) -> dict:
         # block_pos is 0 while seeking an observation at or above 5/6, and
@@ -129,16 +131,13 @@ class ConcatenatedPolicy(Policy):
         y = batch["y"]
         bp = batch["block_pos"]
         seeking = bp == 0
-        # Seeking rows read table row 0; their threshold is replaced below.
-        thr = _interp_rows(sol.threshold_table, sol.stage_rows(bp), sol.ys, y)
-        thr[seeking] = SEEK_LEVEL
-        sel = x >= thr
+        thr = _interp_rows(sol.threshold_table, self._rows.take(bp), sol.ys, y)
+        sel = x >= np.where(seeking, SEEK_LEVEL, thr)
         if active is not None:
             sel &= active
-        np.copyto(y, 1.0 - x, where=sel)
+        y[...] = np.where(sel, 1.0 - x, y)
         moving = ~seeking if active is None else (~seeking & active)
-        bp[sel & seeking] = 1
-        bp += moving
+        bp += sel | moving  # a seeking row that selects moves from 0 to 1
         # No row starts a step at n-1, so only rows that just moved are spent:
         # they regenerate at once (1) or seek again (0).
         spent = bp == self.n - 1

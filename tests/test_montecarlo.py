@@ -348,6 +348,43 @@ def test_geometric_chunks_obey_the_element_budget(monkeypatch):
     assert np.array_equal(counts, unpatched)
 
 
+@pytest.mark.parametrize(
+    "rows, seed, rho, budget",
+    [
+        (4096, 42, 0.999, None),
+        (1000, 7, 0.999, None),
+        (1000, 7, 0.999, 20_000),
+        (300, 3, 0.99, 100),  # 300 rows: slices of one step, wider than the budget
+    ],
+)
+def test_ragged_slices_hold_at_most_four_thirds_of_their_live_cells(
+    monkeypatch, rows, seed, rho, budget
+):
+    # A slice ends where a quarter of its rows have ended, or at the budget;
+    # a cut where half have ended would store up to twice the live cells.
+    lengths = [sample_horizon(replicate_rng(seed, r), rho) for r in range(rows)]
+    lengths.sort(reverse=True)
+    if budget is not None:
+        monkeypatch.setattr(montecarlo, "CHUNK_TARGET_ELEMENTS", budget)
+    budget = montecarlo.CHUNK_TARGET_ELEMENTS
+    mapped = record_mappings(monkeypatch)
+    montecarlo._simulate_batch(
+        GeometricOptimalPolicy(rho), lengths, lambda p: replicate_rng(seed, p)
+    )
+    horizons, t0, held = np.array(lengths), 0, 0
+    for steps, width in mapped:
+        live = int(np.clip(horizons - t0, 0, steps).sum())
+        assert width == np.count_nonzero(horizons > t0)
+        assert 3 * steps * width <= 4 * live
+        assert steps * width <= budget or steps == 1
+        held += live
+        t0 += steps
+    assert t0 == lengths[0] and held == sum(lengths)
+    assert any(steps == 1 and width > budget for steps, width in mapped) == (
+        rows > budget
+    )
+
+
 def test_a_replicate_longer_than_the_budget_is_sliced(monkeypatch):
     cfg = SimulationConfig(
         reps=1, seed=8, policy=GeometricOptimalPolicy(0.999), rho=0.999

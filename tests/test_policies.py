@@ -266,6 +266,56 @@ def test_batch_path_matches_scalar_path(
             )
 
 
+@pytest.mark.parametrize(
+    "rows, horizon, tile, kinds",
+    [
+        # 4096 columns in blocks of TILE_ELEMENTS // steps rows: the last is short
+        (4096, 24, 100, {"tiled", "short last block"}),
+        (1000, 40, None, {"tiled"}),
+        # slices too long for TILE_MIN_ROWS tile rows are filled in place
+        (37, 40, 50, {"tiled", "short last block", "in place"}),
+    ],
+)
+def test_tiled_fill_stores_each_rows_draws_then_zeros(
+    sol_n10, monkeypatch, rows, horizon, tile, kinds
+):
+    rng = seeded_rng(rows)
+    X = rng.random((rows, horizon))
+    lengths = rng.integers(1, horizon + 1, size=rows)  # rows end inside slices
+    if tile is not None:
+        monkeypatch.setattr(montecarlo, "TILE_ELEMENTS", tile)
+    fill, slices = montecarlo._fill, []
+
+    def recording_fill(S, lengths, t0, rngs):
+        running = fill(S, lengths, t0, rngs)
+        slices.append((t0, S.copy()))
+        return running
+
+    monkeypatch.setattr(montecarlo, "_fill", recording_fill)
+    for policy in (FixedThresholdPolicy(0.3), ConcatenatedPolicy(sol_n10)):
+        slices.clear()
+        assert np.array_equal(
+            batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
+        )
+    order = np.argsort(-lengths, kind="stable")
+    seen = set()
+    for t0, S in slices:
+        steps, width = S.shape
+        b = montecarlo.TILE_ELEMENTS // steps
+        tiled = b >= montecarlo.TILE_MIN_ROWS
+        seen.add("tiled" if tiled else "in place")
+        if tiled and width % b and width > b:
+            seen.add("short last block")
+        # column p holds row order[p]'s draws of these steps, then zeros
+        for p, r in enumerate(order[:width]):
+            m = min(lengths[r] - t0, steps)
+            assert np.array_equal(S[:m, p], X[r, t0 : t0 + m])
+            assert not S[m:, p].any()
+            if tiled and m < steps:
+                seen.add("zeroed tail")
+    assert seen == kinds | {"zeroed tail"}
+
+
 def test_coalescence_level_is_one_minus_xi_below_one(sol_n10):
     assert FixedThresholdPolicy(0.5).coalescence_level == 0.5
     assert FixedThresholdPolicy(0.25).coalescence_level == 0.75
