@@ -263,57 +263,54 @@ def cmd_compare(args) -> tuple[dict, list[dict] | None]:
     return payload, rows
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Options that several commands take, each as (flag, add_argument keywords).
+_N = ("--n", {"type": int, "required": True})
+_GRID = ("--grid", {"type": int, "default": DEFAULT_GRID})
+_RUN = [("--reps", {"type": int, "default": DEFAULT_REPS}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED})]
+_OUTPUT = [("--out", {}), ("--json", {"action": "store_true"})]
+
+#: Every command once, in help order: name -> (help, handler, options).
+COMMANDS = {
+    "offline": ("offline statistic moments by simulation", cmd_offline,
+                [_N, *_RUN, *_OUTPUT]),
+    "geometric": ("solve the geometric-horizon problem", cmd_geometric, [
+        ("--rho", {"type": float, "required": True}),
+        ("--tol", {"type": float, "default": DEFAULT_TOL}), _GRID, *_OUTPUT]),
+    "finite": ("solve the fixed-horizon problem", cmd_finite,
+               [_N, ("--dump-tables", {}), _GRID, *_OUTPUT]),
+    "simulate": ("Monte Carlo evaluation of one policy", cmd_simulate, [
+        ("--policy", {"required": True, "choices": [
+            *NAMED_RULES, "threshold", "geometric-optimal", "finite-optimal", "concat"
+        ]}),
+        ("--n", {"type": int}), ("--rho", {"type": float}), ("--xi", {"type": float}),
+        _GRID, *_RUN, *_OUTPUT]),
+    "compare": ("benchmark policy rates at one horizon", cmd_compare,
+                [_N, _GRID, *_RUN, *_OUTPUT]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command alone if it names one.
+
+    A one-command parser still names every command in its usage line, so
+    its help and errors read as the full parser's do.
+    """
     parser = argparse.ArgumentParser(
         prog="altseq",
         description="On-line alternating-subsequence selection: solvers and simulators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, grid=True, reps=False):
-        if grid:
-            p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-        if reps:
-            p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("offline", help="offline statistic moments by simulation")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, grid=False, reps=True)
-    p.set_defaults(func=cmd_offline)
-
-    p = sub.add_parser("geometric", help="solve the geometric-horizon problem")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    add_common(p, reps=False)
-    p.set_defaults(func=cmd_geometric)
-
-    p = sub.add_parser("finite", help="solve the fixed-horizon problem")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dump-tables", type=str, default=None)
-    add_common(p, reps=False)
-    p.set_defaults(func=cmd_finite)
-
-    p = sub.add_parser("simulate", help="Monte Carlo evaluation of one policy")
-    p.add_argument(
-        "--policy",
-        required=True,
-        choices=[*NAMED_RULES, "threshold", "geometric-optimal",
-                 "finite-optimal", "concat"],
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if len(names) == 1 else None,
     )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    add_common(p, reps=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="benchmark policy rates at one horizon")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p, reps=True)
-    p.set_defaults(func=cmd_compare)
-
+    for name in names:
+        summary, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -354,7 +351,8 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)  # that command's parser alone
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -292,11 +292,33 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     return _aggregate(counts)
 
 
+def _offline_count(rng, n: int) -> int:
+    """The offline statistic of rng's next n draws, CHUNK_TARGET_ELEMENTS at a time.
+
+    A row within the budget is scanned in one call. Otherwise each slice is
+    scanned after the previous slice's last draw, the scan's kept value, and
+    negated in place where the count so far is even: the scan then wants a
+    fall. A float64 memoryview yields plain floats, read in place: no copy.
+    """
+    if n <= CHUNK_TARGET_ELEMENTS:
+        return longest_alternating(memoryview(rng.random(n)))
+    buf = mapped_zeros(CHUNK_TARGET_ELEMENTS + 1)
+    count = 1
+    for lo in range(0, n, CHUNK_TARGET_ELEMENTS):
+        s = buf[: min(CHUNK_TARGET_ELEMENTS, n - lo) + 1]
+        rng.random(out=s[1:])
+        s[0] = s[1] if lo == 0 else last  # a tie: the first slice scans as is
+        last = s[-1]
+        if count % 2 == 0:
+            np.negative(s, out=s)
+        count += longest_alternating(memoryview(s)) - 1
+    return count
+
+
 def run_offline(n: int, reps: int, seed: int) -> RunResult:
     """Full-knowledge baseline: the offline statistic on each replicate."""
     check_run(reps, seed, n)
     counts = np.empty(reps, dtype=np.int64)
     for r in range(reps):
-        # a float64 memoryview yields plain floats, read in place: no copy
-        counts[r] = longest_alternating(memoryview(replicate_rng(seed, r).random(n)))
+        counts[r] = _offline_count(replicate_rng(seed, r), n)
     return _aggregate(counts)

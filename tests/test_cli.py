@@ -440,6 +440,34 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
+def test_a_one_command_parser_parses_that_command_alone(capsys):
+    import altseq.cli as cli
+
+    parser = cli.build_parser("geometric")
+    assert parser.parse_args(["geometric", "--rho", "0.5"]).func is cli.cmd_geometric
+    with pytest.raises(SystemExit):
+        parser.parse_args(["finite", "--n", "5"])
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_of_its_command_only(monkeypatch, capsys):
+    import altseq.cli as cli
+
+    built, build = [], cli.build_parser
+
+    def record(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", record)
+    # argv None reads sys.argv, as the console script does
+    monkeypatch.setattr(sys, "argv", ["altseq", "geometric", "--rho", "0.9", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "geometric"
+    assert main(["bogus"]) == 2 and main([]) == 2 and main(["--help"]) == 0
+    assert built == ["geometric", "bogus", None, "--help"]
+
+
 def test_nonconvergence_exits_3(monkeypatch, capsys):
     import altseq.cli as cli
     from altseq.geometric import ConvergenceError

@@ -62,6 +62,15 @@ CASES = {
     "compare-long-json": [
         "compare", "--n", "10000", "--reps", "20", "--seed", "3", "--json"
     ],
+    # help and usage text, wrapped at COLUMNS=80
+    "help": ["--help"],
+    **{f"{c}-help": [c, "--help"]
+       for c in ["offline", "geometric", "finite", "simulate", "compare"]},
+    "geometric-no-rho": ["geometric"],
+    "geometric-unknown-option": ["geometric", "--rho", "0.9", "--n", "5"],
+    "simulate-bad-policy": ["simulate", "--policy", "bogus", "--n", "5"],
+    "unknown-command": ["bogus"],
+    "no-command": [],
 }
 
 GOLDEN = {
@@ -89,6 +98,17 @@ GOLDEN = {
     "simulate-timid-long-json": "602e0e09d753ed55b394fa48e1c0b6e9925e9f2f54fc3cd6328f99d1d873054a",
     "simulate-geometric-long-json": "4e89cd970d425458be6019d54d78d9f7a2df4b2c5b7c563d15c6dd0e7aacac2f",
     "compare-long-json": "f9e89611d392e9370e3d6de829db7429c7868ee302500a5796cea3db59974018",
+    "help": "4d991b3d5decf0acf93622ce8e3770772058b243c29769bf2260e2ef7c4e48bf",
+    "offline-help": "ed3374200073b33f5718e321178d046b63ee8c072383850e60f1bcb27bdc6926",
+    "geometric-help": "05c259878f7585a8e907b186d3f4b69589e8984dca5d3b2dae85fc14e2273d82",
+    "finite-help": "fcf11ea8e8b52cb72adead056bd995089995d1173b98b2a958b6f262750477aa",
+    "simulate-help": "2b6a38d2db31225e8af239531586b8526ea831d13a4318df2c5a5b8cb205f078",
+    "compare-help": "5c44093ddf87e844f9b36d9d41bc3ce713a13bcc296f256739bcc58e14d83796",
+    "geometric-no-rho": "13a1833438fb3d2c0a516718f75e16d4d95c935b9997159acdf6bdb3eaf5b1eb",
+    "geometric-unknown-option": "c99c45b7e6d7fe63a20101c2dd7777db72ce02453bd4be11c61a9ed04c67b1ce",
+    "simulate-bad-policy": "ef8a85680b75ce60d0729585f80d69a61d2c9e38ff1e993c8702c3113ea864b7",
+    "unknown-command": "b89b3136b22657f46b19b937b6f0a82bfaf93e6f82dc638cb29399e6b6a7edbd",
+    "no-command": "60c4e9a39280c75b6b0b23d7ad391354fe4351ab193c1b91a35c1cb998fb6b99",
 }
 
 
@@ -105,6 +125,7 @@ def run_digest(argv, capsys) -> str:
 @pytest.mark.parametrize("case", CASES)
 def test_cli_output_matches_golden_digest(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     assert run_digest(CASES[case], capsys) == GOLDEN[case]
 
 

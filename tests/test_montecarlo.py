@@ -17,6 +17,7 @@ from altseq import (
     FixedThresholdPolicy,
     GeometricOptimalPolicy,
     SimulationConfig,
+    longest_alternating,
     optimal_expected,
     permutation_moments,
     replicate_rng,
@@ -468,6 +469,58 @@ def test_offline_scan_holds_one_copy_of_the_draws():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n
+
+
+@pytest.mark.parametrize("budget", [1, 7, 128, 129])
+def test_offline_rows_drawn_in_slices_count_as_whole_rows(budget):
+    # n below, at and above a multiple of the budget; rows of 128 values or
+    # more are scanned in numpy, shorter ones in the loop
+    for n in [budget - 1, budget, budget + 1, 2 * budget, 3 * budget + 2, 1000]:
+        if n >= 1:
+            whole = run_offline(n, reps=20, seed=5).per_rep_counts
+            with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+                sliced = run_offline(n, reps=20, seed=5).per_rep_counts
+            assert np.array_equal(sliced, whole), n
+
+
+class _Replay:
+    """Hands out a fixed row through Generator.random's size and out forms."""
+
+    def __init__(self, row):
+        self.row, self.at = np.asarray(row, dtype=float), 0
+
+    def random(self, size=None, out=None):
+        k = size if out is None else len(out)
+        part, self.at = self.row[self.at : self.at + k], self.at + k
+        if out is None:
+            return part.copy()
+        out[:] = part
+        return out
+
+
+def test_offline_slices_carry_ties_nan_and_signed_zeros():
+    gen = np.random.default_rng(1)
+    values = [0.0, -0.0, 0.25, 0.5, 1.0, -1.0, np.nan, np.inf]
+    for _ in range(300):
+        row = gen.choice(values, int(gen.integers(1, 400)))
+        budget = int(gen.integers(1, 301))
+        with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+            count = montecarlo._offline_count(_Replay(row), len(row))
+        assert count == longest_alternating(row), (row.tolist(), budget)
+
+
+def test_offline_rows_beyond_the_budget_are_never_drawn_whole():
+    # the slice lives in a mapping of its own, which tracemalloc does not see;
+    # a row drawn whole would show as 8n bytes
+    budget, n = 10_000, 1_000_000
+    tracemalloc.start()
+    try:
+        with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+            run_offline(n, reps=2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * budget
 
 
 def test_geometric_horizon_mean():
