@@ -13,8 +13,10 @@ steps at a time: a plain steps x rows block with one column per row still
 live, cut at CHUNK_TARGET_ELEMENTS observations or where a quarter of its
 rows have ended, so a block holds at most 4/3 of its live observations; it is
 filled through a small tile. A slice narrower than LANE_WIDTH // 8 rows steps
-as lanes, side by side, if its policy has a coalescence level: each row is cut
-where every state selects.
+as lanes, side by side, in the stages where its policy has a coalescence level:
+each row is cut where every state selects. A slice that would run past those
+stages (finite-optimal's settled stages 1..n - K + 1) is cut where they end if
+they step as lanes; the stages after them step one at a time.
 """
 
 from __future__ import annotations
@@ -230,22 +232,26 @@ def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
     stream(p) is row p's Generator at its first observation; a row that runs
     past a slice keeps it for the next. A slice steps its w live rows alone;
     it ends where a quarter of them have ended, so it holds at most 4/3 of its
-    live observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider.
+    live observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider,
+    or, if it steps as lanes, at the policy's coalescence_until.
     """
     held, t0, w, k = [], 0, len(lengths), len(lengths)
     batch = policy.new_batch(w)
     counts = np.zeros(w, dtype=np.int64)
     index = np.arange(w)
+    level, until = policy.coalescence_level, policy.coalescence_until
     while w:
         t1 = min(lengths[w - 1 - w // 4], t0 + max(1, CHUNK_TARGET_ELEMENTS // w))
+        t2 = t1 if until is None else min(t1, until)  # the steps the level holds in
+        # segments of >= 36 / -ln(level) steps: 4x the longest overshoot of 8192 lanes
+        segments = 0 if level is None or w >= LANE_WIDTH // 8 else min(
+            -(-LANE_WIDTH // w), (t2 - t0) // math.ceil(36 / -math.log(level))
+        )
+        if segments >= 2:
+            t1 = t2  # the later stages go to the next slice
         X = mapped_zeros((t1 - t0, w))
         running = _fill(X, lengths, t0, iter(held) if t0 else map(stream, range(w)))
         view = {key: v[:w] for key, v in batch.items()}
-        level = policy.coalescence_level
-        # segments of >= 36 / -ln(level) steps: 4x the longest overshoot of 8192 lanes
-        segments = 0 if level is None or w >= LANE_WIDTH // 8 else min(
-            -(-LANE_WIDTH // w), (t1 - t0) // math.ceil(36 / -math.log(level))
-        )
         if segments >= 2:
             counts[:w] += _step_lanes(policy, view, X, lengths[:w], segments, t0)
         else:

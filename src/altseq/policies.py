@@ -25,12 +25,15 @@ class Policy:
     """Batch decision procedure; subclasses define the threshold rule.
 
     step_batch works elementwise, on rows or on (lanes x rows) arrays. A
-    coalescence_level promises that the threshold ignores i and is at most
-    the level in every reachable state: an observation at or above it is
-    selected from every state, and the next state 1 - x forgets the past.
+    coalescence_level holds in the stages the policy names, 1 through
+    coalescence_until (None: every stage): there the threshold ignores i and
+    is at most the level in every state reachable in them, so an observation
+    at or above it is selected from every state, and the next state 1 - x
+    forgets the past.
     """
 
     coalescence_level: float | None = None
+    coalescence_until: int | None = None
 
     def threshold(self, i: int, y):
         """Acceptance threshold for observation i in state y (array or scalar);
@@ -77,15 +80,48 @@ class GeometricOptimalPolicy(FixedThresholdPolicy):
 
 
 class FiniteOptimalPolicy(Policy):
-    """Stage-dependent optimal rule induced by a solved threshold table."""
+    """Stage-dependent optimal rule induced by a solved threshold table.
+
+    threshold is np.interp(y, ys, row) to the bit, without its binary search:
+    the cell int(y / step), moved by one compare each way, and numpy's
+    (f1 - f0) / (y1 - y0) * (y - y0) + f0, the row held flat past the grid.
+    Stages 1..n - K + 1 all read row 0 if the sweep settled before stage 1;
+    their coalescence level is row 0's largest threshold over the states
+    [0, 1 - its least threshold] that they can reach.
+    """
 
     def __init__(self, solution: FiniteSolution):
         self.solution = solution
         self.n = solution.n
+        ys = solution.ys
+        self._step = ys[1] - ys[0]
+        # ys and the outer ends of the flat cells [1, 2] and [-1, 0] past the grid
+        self._ends = np.concatenate([ys, [2.0, -1.0]])
+        skipped = self.n - len(solution.threshold_table)
+        if skipped:
+            # A selected x is at least the least threshold, so states stay in
+            # [0, top]. The lookup is monotone on each cell [ys[j], ys[j+1]),
+            # so its extremes over an interval lie at the cells' ends in it.
+            row = solution.threshold_table[0]
+            at = np.concatenate([ys, np.nextafter(ys[1:], 0.0)])
+            f = self._lookup(row, at)
+            top = 1.0 - f.min()
+            level = max(f[at <= top].max(), self._lookup(row, top))
+            if level < 1.0:
+                self.coalescence_level = float(level)
+                self.coalescence_until = skipped + 1
+
+    def _lookup(self, row: np.ndarray, y):
+        ends = self._ends
+        j = np.minimum((y / self._step).astype(np.intp), row.size - 2)
+        j -= ends.take(j) > y
+        j += ends.take(j + 1) <= y
+        j1 = j + 1
+        y0, f0 = ends.take(j), row.take(j, mode="clip")
+        return (row.take(j1, mode="clip") - f0) / (ends.take(j1) - y0) * (y - y0) + f0
 
     def threshold(self, i: int, y):
-        sol = self.solution
-        return np.interp(y, sol.ys, sol.threshold_row(i))
+        return self._lookup(self.solution.threshold_row(i), y)
 
 
 def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):

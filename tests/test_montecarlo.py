@@ -413,6 +413,54 @@ def test_one_long_row_steps_as_lanes():
     assert 0 < step.call_count < 0.02 * cfg.n
 
 
+def test_one_long_finite_optimal_row_steps_its_settled_stages_as_lanes():
+    # Stages 1..n - 71 of the grid-101 rule read one threshold row: cut at
+    # their renewal observations, they step as lanes; the last 71 one by one.
+    policy = FiniteOptimalPolicy(solve_finite(150_000, 101))
+    cfg = SimulationConfig(reps=1, seed=5, policy=policy, n=150_000)
+    with mock.patch.object(
+        FiniteOptimalPolicy, "step_batch", autospec=True,
+        side_effect=FiniteOptimalPolicy.step_batch,
+    ) as step:
+        res = run_fixed_horizon(cfg)
+    assert res.per_rep_counts.tolist() == [87608]
+    assert 0 < step.call_count < 0.02 * cfg.n
+
+
+@pytest.mark.parametrize(
+    "n, reps, span, slices",
+    [
+        # Rows that will not step as lanes keep their slices: n <= K has no
+        # settled stage, and 8,192 rows are too wide for lanes.
+        (10, 8192, None, [(10, 8192)]),
+        (100, 8192, None, [(100, 8192)]),
+        # Lanes stop at stage n - K + 1 = 629 (grid 101): a slice that would
+        # run past it is cut there, unless it steps fewer than two segments.
+        (700, 8, None, [(629, 8), (71, 8)]),
+        (700, 8, 629, [(629, 8), (71, 8)]),
+        (700, 8, 628, [(628, 8), (72, 8)]),
+        (700, 8, 379, [(379, 8), (250, 8), (71, 8)]),
+    ],
+)
+def test_finite_optimal_cuts_its_settled_stages_only_for_lanes(
+    monkeypatch, n, reps, span, slices
+):
+    policy = FiniteOptimalPolicy(solve_finite(n, 101 if n == 700 else 2001))
+
+    def run():
+        return montecarlo._simulate_batch(
+            policy, [n] * reps, lambda p: replicate_rng(42, p)
+        )
+
+    unpatched = run()
+    mapped = record_mappings(monkeypatch)
+    if span is not None:
+        monkeypatch.setattr(montecarlo, "CHUNK_TARGET_ELEMENTS", span * reps)
+    counts = run()
+    assert mapped == slices
+    assert np.array_equal(counts, unpatched)
+
+
 @pytest.mark.parametrize(
     "patch, n, reps, requests",
     [

@@ -1,5 +1,6 @@
 """Policy semantics: thresholds, state recursion, feasibility, regeneration."""
 
+import functools
 import math
 from unittest import mock
 
@@ -14,6 +15,7 @@ from altseq import (
     FixedThresholdPolicy,
     GeometricOptimalPolicy,
     is_alternating,
+    solve_finite,
     stationary_rate,
     xi0_closed,
 )
@@ -325,8 +327,22 @@ def test_coalescence_level_is_one_minus_xi_below_one(sol_n10):
     for xi in (0.0, 5e-324, 1e-300, 2.0**-54):
         assert FixedThresholdPolicy(xi).coalescence_level is None
     assert GeometricOptimalPolicy(0.5).coalescence_level is None  # xi0 = 0
-    assert FiniteOptimalPolicy(sol_n10).coalescence_level is None
+    assert FixedThresholdPolicy(0.25).coalescence_until is None  # every stage
+    assert FiniteOptimalPolicy(sol_n10).coalescence_level is None  # n <= K
+    for grid in (3, 4):  # rows that never settle: every stage has its own
+        assert FiniteOptimalPolicy(solve_finite(300, grid)).coalescence_level is None
     assert ConcatenatedPolicy(sol_n10).coalescence_level is None
+    # Stages 1..n - K + 1 read row 0; no state they reach has a threshold
+    # above the level, which is 1/sqrt(2) to 1e-7 at grid 2001.
+    for n, grid in ((1000, 2001), (300, 11)):
+        policy = FiniteOptimalPolicy(solve_finite(n, grid))
+        level, until = policy.coalescence_level, policy.coalescence_until
+        assert until == n - len(policy.solution.threshold_table) + 1
+        assert 0.5 < level < 1.0
+        top = 1.0 - policy.threshold(1, policy.solution.ys).min()
+        assert policy.threshold(until, np.linspace(0.0, top, 10_001)).max() <= level
+    settled = FiniteOptimalPolicy(solve_finite(1000))
+    assert settled.coalescence_level == pytest.approx(0.70710668, abs=1e-8)
 
 
 @settings(deadline=None, max_examples=30)
@@ -357,6 +373,42 @@ def test_lanes_match_scalar_path(seed, rows, horizon, ragged, xi, rho, span):
                     batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
                 )
     assert lanes.called  # by the geometric-optimal rule
+
+
+@settings(deadline=None, max_examples=8)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=600, max_value=800),
+    ragged=st.booleans(),
+    shift=st.integers(min_value=-300, max_value=300),
+)
+# stage n - K + 1 as a slice's last step, its first, inside it, and inside a later one
+@example(seed=5, rows=8, n=700, ragged=False, shift=0)
+@example(seed=5, rows=8, n=700, ragged=False, shift=-1)
+@example(seed=5, rows=8, n=700, ragged=False, shift=200)
+@example(seed=5, rows=8, n=700, ragged=False, shift=-250)
+def test_finite_optimal_lanes_match_scalar_path(seed, rows, n, ragged, shift):
+    # On grid 101 stages 1..n - 71 read threshold row 0 and step as lanes;
+    # slices of until + shift steps put stage until anywhere in a slice.
+    policy = FiniteOptimalPolicy(solve_finite(n, 101))
+    until = policy.coalescence_until
+    assert until == n - 71
+    rng = seeded_rng(seed)
+    X = rng.random((rows, n))
+    lengths = rng.integers(n // 2, n + 1, size=rows) if ragged else None
+    step_lanes, lanes = montecarlo._step_lanes, []
+
+    def recording_lanes(policy, view, X, lengths, segments, t0):
+        lanes.append((t0, len(X)))
+        return step_lanes(policy, view, X, lengths, segments, t0)
+
+    with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", (until + shift) * rows):
+        with mock.patch.object(montecarlo, "_step_lanes", recording_lanes):
+            assert np.array_equal(
+                batch_counts(policy, X, lengths), scalar_counts(policy, X, lengths)
+            )
+    assert lanes and all(t0 + steps <= until for t0, steps in lanes)
 
 
 @settings(deadline=None)
@@ -408,6 +460,46 @@ def test_interp_rows_gathers_like_row_indexing(seed, n, grid_size, y):
     frac = y / step - j
     expected = table[rows, j] * (1.0 - frac) + table[rows, j + 1] * frac
     assert np.array_equal(_interp_rows(table, rows, ys, y), expected)
+
+
+@functools.cache
+def solved(grid_size: int):
+    return solve_finite(100, grid_size)  # settled before stage 1 from grid 11
+
+
+def assert_lookup_is_np_interp(policy, y):
+    sol = policy.solution
+    for i in range(sol.n - len(sol.threshold_table) + 1, sol.n + 1):  # every row
+        got = policy.threshold(i, y)
+        want = np.interp(y, sol.ys, sol.threshold_row(i))
+        assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("grid_size", [3, 4, 11, 101, 2001])
+def test_threshold_lookup_is_np_interp_to_the_bit(grid_size):
+    policy = FiniteOptimalPolicy(solved(grid_size))
+    ys = policy.solution.ys
+    y = np.concatenate([
+        seeded_rng(grid_size).random(200),
+        ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf), [0.0, 1.0],
+    ])
+    # numpy precomputes the slopes when len(ys) <= len(y): widths on both sides
+    assert y.size > grid_size
+    assert_lookup_is_np_interp(policy, y)
+    width = max(1, grid_size // 2)
+    for lo in range(0, y.size, width):
+        assert_lookup_is_np_interp(policy, y[lo : lo + width])
+    for state in (0.0, 1.0):
+        assert_lookup_is_np_interp(policy, state)
+
+
+@settings(deadline=None)
+@given(
+    grid_size=st.sampled_from([3, 4, 11, 101, 2001]),
+    y=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+)
+def test_threshold_lookup_is_np_interp_at_any_state(grid_size, y):
+    assert_lookup_is_np_interp(FiniteOptimalPolicy(solved(grid_size)), np.array(y))
 
 
 def test_stationary_rate_values():
