@@ -234,11 +234,16 @@ def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
     it ends where a quarter of them have ended, so it holds at most 4/3 of its
     live observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider,
     or, if it steps as lanes, at the policy's coalescence_until.
+
+    A slice stepped one observation at a time passes active=None while all
+    its rows are live; from the step where the first of them has ended, one
+    boolean mask, True on rows 0..k-1 of the k still live, cleared in place
+    as rows end. So every call sees a row live exactly while i is at most its
+    length, and dead rows neither select nor change state.
     """
-    held, t0, w, k = [], 0, len(lengths), len(lengths)
+    held, t0, w = [], 0, len(lengths)
     batch = policy.new_batch(w)
     counts = np.zeros(w, dtype=np.int64)
-    index = np.arange(w)
     level, until = policy.coalescence_level, policy.coalescence_until
     while w:
         t1 = min(lengths[w - 1 - w // 4], t0 + max(1, CHUNK_TARGET_ELEMENTS // w))
@@ -255,11 +260,15 @@ def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
         if segments >= 2:
             counts[:w] += _step_lanes(policy, view, X, lengths[:w], segments, t0)
         else:
+            tally, active, k = counts[:w], None, w
             for i, x in enumerate(X, start=t0 + 1):
-                while lengths[k - 1] < i:  # k rows have horizon >= i
-                    k -= 1
-                active = None if k == w else index[:w] < k
-                counts[:w] += policy.step_batch(view, i, x, active)
+                if lengths[k - 1] < i:
+                    if active is None:
+                        active = np.ones(w, dtype=bool)
+                    while lengths[k - 1] < i:  # k rows have horizon >= i
+                        k -= 1
+                        active[k] = False
+                tally += policy.step_batch(view, i, x, active)
         X = x = None  # unmapped before the next slice is mapped
         held, t0, w = running, t1, len(running)
     return counts

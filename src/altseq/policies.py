@@ -54,7 +54,7 @@ class Policy:
         sel = x >= self.threshold(i, y)
         if active is not None:
             sel &= active
-        y[...] = np.where(sel, 1.0 - x, y)
+        np.putmask(y, sel, 1.0 - x)
         return sel
 
 
@@ -83,10 +83,11 @@ class FiniteOptimalPolicy(Policy):
     """Stage-dependent optimal rule induced by a solved threshold table.
 
     threshold is np.interp(y, ys, row) to the bit, without its binary search:
-    the cell int(y / step), moved by one compare each way, and numpy's
-    (f1 - f0) / (y1 - y0) * (y - y0) + f0, the row held flat past the grid.
-    Stages 1..n - K + 1 all read row 0 if the sweep settled before stage 1;
-    their coalescence level is row 0's largest threshold over the states
+    the cell j with ys[j] <= y < ys[j + 1] (j = size - 1 at y = 1), then
+    numpy's slope * (y - ys[j]) + row[j], the slope (f1 - f0) / (y1 - y0) of
+    the cell as np.interp computes it, and 0 past the grid. Stages
+    1..n - K + 1 all read row 0 if the sweep settled before stage 1; their
+    coalescence level is row 0's largest threshold over the states
     [0, 1 - its least threshold] that they can reach.
     """
 
@@ -94,44 +95,38 @@ class FiniteOptimalPolicy(Policy):
         self.solution = solution
         self.n = solution.n
         ys = solution.ys
-        self._step = ys[1] - ys[0]
-        # ys and the outer ends of the flat cells [1, 2] and [-1, 0] past the grid
-        self._ends = np.concatenate([ys, [2.0, -1.0]])
+        self._widths = np.append(np.diff(ys), 1.0)  # y1 - y0; 1 for [1, 2]
+        # ys[k] strays from k / (size - 1) by a few ulps, far less than the
+        # 2^-50 taken off _scale: int(y * _scale) is the cell of y or the one
+        # below it, never the one above.
+        self._scale = (ys.size - 1) * (1.0 - 2.0**-50)
+        self._next = np.append(ys[1:], 2.0)  # each cell's right end
         skipped = self.n - len(solution.threshold_table)
         if skipped:
             # A selected x is at least the least threshold, so states stay in
             # [0, top]. The lookup is monotone on each cell [ys[j], ys[j+1]),
             # so its extremes over an interval lie at the cells' ends in it.
-            row = solution.threshold_table[0]
             at = np.concatenate([ys, np.nextafter(ys[1:], 0.0)])
-            f = self._lookup(row, at)
+            f = self._lookup(0, at)
             top = 1.0 - f.min()
-            level = max(f[at <= top].max(), self._lookup(row, top))
+            level = max(f[at <= top].max(), self._lookup(0, top))
             if level < 1.0:
                 self.coalescence_level = float(level)
                 self.coalescence_until = skipped + 1
 
-    def _lookup(self, row: np.ndarray, y):
-        ends = self._ends
-        j = np.minimum((y / self._step).astype(np.intp), row.size - 2)
-        j -= ends.take(j) > y
-        j += ends.take(j + 1) <= y
-        j1 = j + 1
-        y0, f0 = ends.take(j), row.take(j, mode="clip")
-        return (row.take(j1, mode="clip") - f0) / (ends.take(j1) - y0) * (y - y0) + f0
+    def _lookup(self, row: int, y):
+        y = np.maximum(y, 0.0)  # np.interp holds the row flat below the grid too
+        j = (y * self._scale).astype(np.intp)
+        j += self._next.take(j) <= y
+        f = self.solution.threshold_table[row]
+        f0 = f.take(j)
+        slope = (f[1:].take(j, mode="clip") - f0) / self._widths.take(j)
+        return slope * (y - self.solution.ys.take(j)) + f0
 
     def threshold(self, i: int, y):
-        return self._lookup(self.solution.threshold_row(i), y)
-
-
-def _interp_rows(table: np.ndarray, rows: np.ndarray, ys: np.ndarray, y: np.ndarray):
-    # Linear interpolation of table[rows] at points y, row chosen per entry;
-    # one flat index gathers table[rows, j].
-    u = y / (ys[1] - ys[0])
-    j = np.minimum(u.astype(np.int64), ys.size - 2)
-    frac = u - j
-    flat = rows * ys.size + j
-    return table.take(flat) * (1.0 - frac) + table.take(flat + 1) * frac
+        if not 1 <= i <= self.n:
+            raise ValueError(f"stage {i} outside 1..{self.n}")
+        return self._lookup(self.solution.stage_rows(i), y)
 
 
 class ConcatenatedPolicy(Policy):
@@ -142,6 +137,11 @@ class ConcatenatedPolicy(Policy):
     threshold curves; then regenerate: immediately if the state is already
     at or below 1/6, otherwise by seeking again. Meant for geometric-horizon
     simulation as a suboptimality witness, not as a practical policy.
+
+    At block position p >= 1 the threshold interpolates the stage-p row
+    linearly: with u = y / step, the cell j = min(int(u), size - 2) and
+    f = u - j, it is a*(1 - f) + b*f, a and b the row's values at the cell's
+    ends, evaluated in that order. That is not np.interp bit for bit.
     """
 
     def __init__(self, solution: FiniteSolution):
@@ -151,8 +151,16 @@ class ConcatenatedPolicy(Policy):
             )
         self.solution = solution
         self.n = solution.n
-        # threshold_table row per block position; seeking (0) reads one unused
-        self._rows = solution.stage_rows(np.arange(self.n - 1))
+        ys = solution.ys
+        self._step = ys[1] - ys[0]
+        self._last_cell = ys.size - 2
+        # The rows of stages 1..n-2, flat, read at the left and right ends of
+        # a cell, and each block position's offset into them; seeking (0)
+        # reads the first row and ignores it.
+        self._left = solution.threshold_table[:-2].reshape(-1)
+        self._right = self._left[1:]
+        rows = solution.stage_rows(np.arange(self.n - 1))
+        self._offsets = np.maximum(rows, 0) * ys.size
 
     def new_batch(self, size: int) -> dict:
         # block_pos is 0 while seeking an observation at or above 5/6, and
@@ -163,21 +171,31 @@ class ConcatenatedPolicy(Policy):
     def step_batch(
         self, batch: dict, i: int, x: np.ndarray, active: np.ndarray | None = None
     ) -> np.ndarray:
-        sol = self.solution
         y = batch["y"]
         bp = batch["block_pos"]
+        f = y / self._step
+        j = f.astype(np.intp)
+        np.minimum(j, self._last_cell, out=j)
+        f -= j  # y's place in cell j
+        j += self._offsets.take(bp)
+        thr = self._left.take(j)
+        b = self._right.take(j)
+        b *= f
+        np.subtract(1.0, f, out=f)
+        thr *= f
+        thr += b  # a*(1 - f) + b*f
         seeking = bp == 0
-        thr = _interp_rows(sol.threshold_table, self._rows.take(bp), sol.ys, y)
-        sel = x >= np.where(seeking, SEEK_LEVEL, thr)
+        np.putmask(thr, seeking, SEEK_LEVEL)
+        sel = x >= thr
+        moving = sel >= seeking  # a seeking row moves from 0 to 1 if it selects
         if active is not None:
             sel &= active
-        y[...] = np.where(sel, 1.0 - x, y)
-        moving = ~seeking if active is None else (~seeking & active)
-        bp += sel | moving  # a seeking row that selects moves from 0 to 1
+            moving &= active
+        np.putmask(y, sel, 1.0 - x)
+        bp += moving
         # No row starts a step at n-1, so only rows that just moved are spent:
         # they regenerate at once (1) or seek again (0).
-        spent = bp == self.n - 1
-        bp[spent] = y[spent] <= REGEN_LEVEL
+        np.less_equal(y, REGEN_LEVEL, out=bp, where=bp == self.n - 1)
         return sel
 
 

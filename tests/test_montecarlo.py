@@ -269,17 +269,28 @@ GOLDEN_COUNTS = {
     "geometric-optimal": "10d35d666f486d93321d2ef618977c63a59a2b64a02b9fc6a9712a356e5e4878",
     "concat": "2734d232b2f2fe8f503179a28d7002bc16cf88b4f6dec69d4fe888c4ceda712c",
     "finite-optimal": "d993a1f21f97e453b6b8865cffd4f2ffba8d29fa67991c5cd974bf58de772bbf",
+    # 4096 rows at rho 0.999: 4096-wide slices and a tail of single rows
+    # that runs to step 8003
+    "geometric-optimal-4096": "05a10ea623cd1483d459c756160cc07804925774a95854f3845540baa1ce99a2",
+    "concat-4096": "4758e45c2e59ed4e8b05717ae3f55067578c6baf4aab894e7c5e343ba99add37",
 }
 
 
-def test_counts_match_recorded_digests(sol_n10):
+def test_counts_match_recorded_digests(sol_n10, sol_n50):
     geo = dict(reps=512, seed=42, rho=0.99)
+    wide = dict(reps=4096, seed=42, rho=0.999)
     runs = {
         "geometric-optimal": run_geometric_horizon(
             SimulationConfig(policy=GeometricOptimalPolicy(0.99), **geo)
         ),
         "concat": run_geometric_horizon(
             SimulationConfig(policy=ConcatenatedPolicy(sol_n10), **geo)
+        ),
+        "geometric-optimal-4096": run_geometric_horizon(
+            SimulationConfig(policy=GeometricOptimalPolicy(0.999), **wide)
+        ),
+        "concat-4096": run_geometric_horizon(
+            SimulationConfig(policy=ConcatenatedPolicy(sol_n50), **wide)
         ),
         "finite-optimal": run_fixed_horizon(
             SimulationConfig(

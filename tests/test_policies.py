@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from altseq import (
     ConcatenatedPolicy,
     FiniteOptimalPolicy,
+    FiniteSolution,
     FixedThresholdPolicy,
     GeometricOptimalPolicy,
     is_alternating,
@@ -25,6 +26,30 @@ from conftest import seeded_rng
 SQRT2 = math.sqrt(2.0)
 
 
+def contract_threshold(policy, i, y, block_pos):
+    """The threshold of observation i in state (y, block_pos), in scalar floats.
+
+    Written from the policies' stated contracts, independently of step_batch:
+    the concatenated rule interpolates its block's stage row as
+    a*(1 - f) + b*f, and the finite-optimal rule is np.interp to the bit.
+    """
+    if isinstance(policy, ConcatenatedPolicy):
+        if block_pos == 0:
+            return 5 / 6
+        sol = policy.solution
+        row = sol.threshold_row(block_pos)
+        u = y / float(sol.ys[1] - sol.ys[0])
+        j = min(int(u), row.size - 2)
+        f = u - j
+        return float(row[j]) * (1.0 - f) + float(row[j + 1]) * f
+    if isinstance(policy, FiniteOptimalPolicy):
+        if not 1 <= i <= policy.n:
+            raise ValueError(f"step index {i} outside 1..{policy.n}")
+        sol = policy.solution
+        return float(np.interp(y, sol.ys, sol.threshold_row(i)))
+    return max(policy.xi, y)  # fixed threshold, including the geometric-optimal rule
+
+
 def scalar_step(policy, state, i, x):
     """Reference decision on observation i with value x, one replicate at a time.
 
@@ -35,27 +60,13 @@ def scalar_step(policy, state, i, x):
     (selected, next state).
     """
     y, block_pos = state
-    if isinstance(policy, ConcatenatedPolicy):
-        if block_pos == 0:
-            return (True, (1.0 - x, 1)) if x >= 5 / 6 else (False, state)
-        sol = policy.solution
-        threshold = float(np.interp(y, sol.ys, sol.threshold_row(block_pos)))
-        selected = x >= threshold
-        y = 1.0 - x if selected else y
-        block_pos += 1
+    selected = x >= contract_threshold(policy, i, y, block_pos)
+    y = 1.0 - x if selected else y
+    if isinstance(policy, ConcatenatedPolicy) and (selected or block_pos):
+        block_pos += 1  # a seeking row that selects starts its block
         if block_pos == policy.n - 1:  # block of n-2 stage-driven steps is spent
             block_pos = 1 if y <= 1 / 6 else 0
-        return selected, (y, block_pos)
-    if isinstance(policy, FiniteOptimalPolicy):
-        if not 1 <= i <= policy.n:
-            raise ValueError(f"step index {i} outside 1..{policy.n}")
-        sol = policy.solution
-        threshold = float(np.interp(y, sol.ys, sol.threshold_row(i)))
-    else:  # fixed threshold, including the geometric-optimal rule
-        threshold = max(policy.xi, y)
-    if x >= threshold:
-        return True, (1.0 - x, block_pos)
-    return False, state
+    return selected, (y, block_pos)
 
 
 def scalar_counts(policy, X, lengths=None):
@@ -439,27 +450,94 @@ def test_dead_rows_keep_their_state(sol_n10, seed, rows, i):
             assert np.array_equal(value[~active], before[key][~active])
 
 
+def assert_ties_select_and_predecessors_skip(policy, i, y, block_pos, active):
+    """Step states (y, block_pos) on x at their contract thresholds, then on the
+    float just below: every active tie selects and every predecessor skips;
+    selections and next states match scalar_step to the bit."""
+    thresholds = np.array(
+        [contract_threshold(policy, i, a, b) for a, b in zip(y, block_pos)]
+    )
+    for x, selects in ((thresholds, True), (np.nextafter(thresholds, 0.0), False)):
+        batch = policy.new_batch(y.size)
+        batch["y"][:] = y
+        if "block_pos" in batch:
+            batch["block_pos"][:] = block_pos
+        selected = policy.step_batch(batch, i, x, active)
+        want = [
+            scalar_step(policy, (a, b), i, v) if live else (False, (a, b))
+            for a, b, v, live in zip(y, block_pos, x, active)
+        ]
+        assert np.array_equal(selected, [sel for sel, _ in want])
+        y_next = np.array([state[0] for _, state in want])
+        assert np.array_equal(batch["y"].view(np.uint64), y_next.view(np.uint64))
+        if "block_pos" in batch:
+            assert batch["block_pos"].tolist() == [state[1] for _, state in want]
+        # a threshold of 0 has no float below it in [0, 1]
+        assert np.array_equal(selected, active & (selects | (thresholds == 0.0)))
+
+
+def edge_states(ys, rng):
+    """0, the grid points and their neighbours, random states and 1.0, the
+    state after selecting x = 0.0."""
+    y = np.concatenate([
+        ys, np.nextafter(ys, -1.0), np.nextafter(ys, 2.0), rng.random(100), [0.0, 1.0]
+    ])
+    return y[(y >= 0.0) & (y <= 1.0)]
+
+
+@pytest.mark.parametrize("n, grid_size", [(10, 4), (10, 101), (10, 2001), (100, 11)])
+def test_concat_tie_selects_and_one_ulp_below_skips(n, grid_size):
+    # every block position, seeking (0) included, at every edge state
+    policy = ConcatenatedPolicy(solve_finite(n, grid_size))
+    rng = seeded_rng(grid_size)
+    y = edge_states(policy.solution.ys, rng)
+    y, block_pos = np.repeat(y, n - 1), np.tile(np.arange(n - 1), y.size)
+    active = rng.random(y.size) < 0.8
+    assert_ties_select_and_predecessors_skip(policy, 1, y, block_pos, active)
+
+
+@pytest.mark.parametrize("grid_size", [3, 4, 11, 101, 2001])
+def test_finite_optimal_tie_selects_and_one_ulp_below_skips(grid_size):
+    policy = FiniteOptimalPolicy(solved(grid_size))
+    rng = seeded_rng(grid_size)
+    states = edge_states(policy.solution.ys, rng)
+    sol = policy.solution
+    for i in range(sol.n - len(sol.threshold_table) + 1, sol.n + 1):  # every row
+        y = np.concatenate([[0.0, 1.0], rng.choice(states, min(states.size, 300))])
+        active = rng.random(y.size) < 0.8
+        assert_ties_select_and_predecessors_skip(policy, i, y, np.zeros(y.size), active)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.25, 0.5, xi0_closed(0.9)])
+def test_fixed_threshold_tie_selects_and_one_ulp_below_skips(xi):
+    policy = FixedThresholdPolicy(xi)
+    rng = seeded_rng(7)
+    y = edge_states(np.linspace(0.0, 1.0, 101), rng)
+    active = rng.random(y.size) < 0.8
+    assert_ties_select_and_predecessors_skip(policy, 1, y, np.zeros(y.size), active)
+    # x = 0.0 at y = 0 selects under the greedy rule alone, into y = 1.0
+    batch = policy.new_batch(1)
+    assert step_one(policy, batch, 1, 0.0) == (xi == 0.0)
+    assert batch["y"][0] == (1.0 if xi == 0.0 else 0.0)
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=3, max_value=12),
     grid_size=st.integers(min_value=2, max_value=80),
     y=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
 )
 @example(seed=0, n=3, grid_size=11, y=[0.0, 0.9, 0.95, 1.0])
-def test_interp_rows_gathers_like_row_indexing(seed, n, grid_size, y):
-    from altseq.policies import _interp_rows
-
+def test_concat_threshold_interpolates_its_stage_row(seed, n, grid_size, y):
+    # random tables, so no solver's regularity hides a misread cell or row
     rng = seeded_rng(seed)
-    table = rng.random((n, grid_size))
     ys = np.linspace(0.0, 1.0, grid_size)
+    policy = ConcatenatedPolicy(FiniteSolution(n, ys, rng.random((n, grid_size))))
     y = np.array(y)
-    rows = rng.integers(-1, n, size=y.size)  # -1 is the last row
-    step = ys[1] - ys[0]
-    j = np.minimum((y / step).astype(np.int64), grid_size - 2)
-    frac = y / step - j
-    expected = table[rows, j] * (1.0 - frac) + table[rows, j + 1] * frac
-    assert np.array_equal(_interp_rows(table, rows, ys, y), expected)
+    block_pos = rng.integers(0, n - 1, size=y.size)
+    active = rng.random(y.size) < 0.8
+    assert_ties_select_and_predecessors_skip(policy, 1, y, block_pos, active)
 
 
 @functools.cache
