@@ -78,14 +78,9 @@ class FiniteSolution:
         return table
 
     def stage_rows(self, i):
-        """threshold_table row of stage i, an int or an int array.
-
-        Stages before the first row kept read row 0. Policies map their stages
-        at every step, so the clip is skipped when every stage was kept.
-        """
-        skipped = self.n - len(self.threshold_table)
-        rows = i - (1 + skipped)
-        return np.maximum(rows, 0) if skipped else rows
+        """threshold_table row of stage i, an int or an int array; stages
+        before the first row kept read row 0."""
+        return np.maximum(i - (1 + self.n - len(self.threshold_table)), 0)
 
     def value_row(self, i: int) -> np.ndarray:
         """Stage-i value curve, 1 <= i <= n + 1."""

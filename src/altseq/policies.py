@@ -79,57 +79,80 @@ class GeometricOptimalPolicy(FixedThresholdPolicy):
         super().__init__(xi0_closed(rho))
 
 
-class FiniteOptimalPolicy(Policy):
-    """Stage-dependent optimal rule induced by a solved threshold table.
+class _TableRule(Policy):
+    """A rule read off the stage rows of a solved threshold table.
 
-    threshold is np.interp(y, ys, row) to the bit, without its binary search:
-    the cell j with ys[j] <= y < ys[j + 1] (j = size - 1 at y = 1), then
-    numpy's slope * (y - ys[j]) + row[j], the slope (f1 - f0) / (y1 - y0) of
-    the cell as np.interp computes it, and 0 past the grid. Stages
-    1..n - K + 1 all read row 0 if the sweep settled before stage 1; their
-    coalescence level is row 0's largest threshold over the states
-    [0, 1 - its least threshold] that they can reach.
+    It interpolates a row linearly: with u = y / step, the cell
+    j = min(int(u), size - 2) and f = u - j, the threshold is a*(1 - f) + b*f,
+    a and b the row's values at the cell's ends, evaluated in that order.
+    That is not np.interp bit for bit.
     """
 
     def __init__(self, solution: FiniteSolution):
         self.solution = solution
         self.n = solution.n
         ys = solution.ys
-        self._widths = np.append(np.diff(ys), 1.0)  # y1 - y0; 1 for [1, 2]
-        # ys[k] strays from k / (size - 1) by a few ulps, far less than the
-        # 2^-50 taken off _scale: int(y * _scale) is the cell of y or the one
-        # below it, never the one above.
-        self._scale = (ys.size - 1) * (1.0 - 2.0**-50)
-        self._next = np.append(ys[1:], 2.0)  # each cell's right end
+        self._step = ys[1] - ys[0]
+        self._last_cell = ys.size - 2
+        # every row, flat, read at the left and right ends of a cell
+        self._left = solution.threshold_table.reshape(-1)
+        self._right = self._left[1:]
+
+    def _interp(self, y: np.ndarray, offset):
+        """Thresholds at states y >= 0 (an array) on the rows that start at
+        offset in the flat table (an int, or ints shaped like y)."""
+        f = y / self._step
+        j = f.astype(np.intp)
+        np.minimum(j, self._last_cell, out=j)
+        f -= j  # y's place in cell j
+        j += offset
+        thr = self._left.take(j)
+        b = self._right.take(j)
+        b *= f
+        np.subtract(1.0, f, out=f)
+        thr *= f
+        thr += b  # a*(1 - f) + b*f
+        return thr
+
+
+class FiniteOptimalPolicy(_TableRule):
+    """Stage-dependent optimal rule induced by a solved threshold table.
+
+    threshold reads stage i's row, at y clipped at 0. Stages 1..n - K + 1
+    all read row 0 if the sweep settled before stage 1; their coalescence
+    level bounds row 0's thresholds over the states they can reach.
+    """
+
+    def __init__(self, solution: FiniteSolution):
+        super().__init__(solution)
         skipped = self.n - len(solution.threshold_table)
         if skipped:
-            # A selected x is at least the least threshold, so states stay in
-            # [0, top]. The lookup is monotone on each cell [ys[j], ys[j+1]),
-            # so its extremes over an interval lie at the cells' ends in it.
-            at = np.concatenate([ys, np.nextafter(ys[1:], 0.0)])
-            f = self._lookup(0, at)
-            top = 1.0 - f.min()
-            level = max(f[at <= top].max(), self._lookup(0, top))
+            # The kernel rounds three times, so it is within a factor
+            # 1 +- 2^-51 of the exact interpolant, which lies between its
+            # cell's ends: a margin of 2^-50, rounded outward, covers both.
+            # A selected x is at least lo, so states stay in [0, top].
+            row = solution.threshold_table[0]
+            lo = np.nextafter(row.min() * (1.0 - 2.0**-50), 0.0)
+            top = np.array([1.0 - lo])
+            # Up to top the kernel reads the cells up to top's, and in top's
+            # cell it interpolates between the left end and its value at top.
+            j = min(int(top[0] / self._step), self._last_cell)
+            level = max(row[: j + 1].max(), self._interp(top, 0)[0])
+            level = np.nextafter(level * (1.0 + 2.0**-50), 2.0)
             if level < 1.0:
                 self.coalescence_level = float(level)
                 self.coalescence_until = skipped + 1
 
-    def _lookup(self, row: int, y):
-        y = np.maximum(y, 0.0)  # np.interp holds the row flat below the grid too
-        j = (y * self._scale).astype(np.intp)
-        j += self._next.take(j) <= y
-        f = self.solution.threshold_table[row]
-        f0 = f.take(j)
-        slope = (f[1:].take(j, mode="clip") - f0) / self._widths.take(j)
-        return slope * (y - self.solution.ys.take(j)) + f0
-
     def threshold(self, i: int, y):
         if not 1 <= i <= self.n:
             raise ValueError(f"stage {i} outside 1..{self.n}")
-        return self._lookup(self.solution.stage_rows(i), y)
+        offset = self.solution.stage_rows(i) * self.solution.ys.size
+        y = np.maximum(y, 0.0)  # the kernel would extrapolate below the grid
+        thr = self._interp(np.atleast_1d(y), offset)
+        return thr if np.ndim(y) else thr[0]
 
 
-class ConcatenatedPolicy(Policy):
+class ConcatenatedPolicy(_TableRule):
     """Regenerating block policy built from a finite solution with n >= 3.
 
     Seek the first observation at or above 5/6 and select it (state drops
@@ -138,10 +161,8 @@ class ConcatenatedPolicy(Policy):
     at or below 1/6, otherwise by seeking again. Meant for geometric-horizon
     simulation as a suboptimality witness, not as a practical policy.
 
-    At block position p >= 1 the threshold interpolates the stage-p row
-    linearly: with u = y / step, the cell j = min(int(u), size - 2) and
-    f = u - j, it is a*(1 - f) + b*f, a and b the row's values at the cell's
-    ends, evaluated in that order. That is not np.interp bit for bit.
+    At block position p >= 1 the threshold is the stage-p row's, read as
+    every table rule reads it; seeking rows read 5/6.
     """
 
     def __init__(self, solution: FiniteSolution):
@@ -149,18 +170,10 @@ class ConcatenatedPolicy(Policy):
             raise ValueError(
                 f"concatenated policy needs horizon >= 3, got {solution.n}"
             )
-        self.solution = solution
-        self.n = solution.n
-        ys = solution.ys
-        self._step = ys[1] - ys[0]
-        self._last_cell = ys.size - 2
-        # The rows of stages 1..n-2, flat, read at the left and right ends of
-        # a cell, and each block position's offset into them; seeking (0)
-        # reads the first row and ignores it.
-        self._left = solution.threshold_table[:-2].reshape(-1)
-        self._right = self._left[1:]
-        rows = solution.stage_rows(np.arange(self.n - 1))
-        self._offsets = np.maximum(rows, 0) * ys.size
+        super().__init__(solution)
+        # each block position's offset into the flat rows; seeking (0) reads
+        # the first row and ignores it
+        self._offsets = solution.stage_rows(np.arange(self.n - 1)) * solution.ys.size
 
     def new_batch(self, size: int) -> dict:
         # block_pos is 0 while seeking an observation at or above 5/6, and
@@ -173,17 +186,7 @@ class ConcatenatedPolicy(Policy):
     ) -> np.ndarray:
         y = batch["y"]
         bp = batch["block_pos"]
-        f = y / self._step
-        j = f.astype(np.intp)
-        np.minimum(j, self._last_cell, out=j)
-        f -= j  # y's place in cell j
-        j += self._offsets.take(bp)
-        thr = self._left.take(j)
-        b = self._right.take(j)
-        b *= f
-        np.subtract(1.0, f, out=f)
-        thr *= f
-        thr += b  # a*(1 - f) + b*f
+        thr = self._interp(y, self._offsets.take(bp))
         seeking = bp == 0
         np.putmask(thr, seeking, SEEK_LEVEL)
         sel = x >= thr

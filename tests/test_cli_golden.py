@@ -62,6 +62,11 @@ CASES = {
     "compare-long-json": [
         "compare", "--n", "10000", "--reps", "20", "--seed", "3", "--json"
     ],
+    # stages 1-929 of the grid-101 rule step as lanes
+    "simulate-finite-optimal-json": [
+        "simulate", "--policy", "finite-optimal", "--n", "1000", "--grid", "101",
+        *SIM, "--json",
+    ],
     # help and usage text, wrapped at COLUMNS=80
     "help": ["--help"],
     **{f"{c}-help": [c, "--help"]
@@ -69,6 +74,10 @@ CASES = {
     "geometric-no-rho": ["geometric"],
     "geometric-unknown-option": ["geometric", "--rho", "0.9", "--n", "5"],
     "simulate-bad-policy": ["simulate", "--policy", "bogus", "--n", "5"],
+    "simulate-finite-optimal-no-n": ["simulate", "--policy", "finite-optimal", *SIM],
+    "simulate-geometric-optimal-no-rho": [
+        "simulate", "--policy", "geometric-optimal", *SIM
+    ],
     "unknown-command": ["bogus"],
     "no-command": [],
 }
@@ -98,6 +107,7 @@ GOLDEN = {
     "simulate-timid-long-json": "602e0e09d753ed55b394fa48e1c0b6e9925e9f2f54fc3cd6328f99d1d873054a",
     "simulate-geometric-long-json": "4e89cd970d425458be6019d54d78d9f7a2df4b2c5b7c563d15c6dd0e7aacac2f",
     "compare-long-json": "f9e89611d392e9370e3d6de829db7429c7868ee302500a5796cea3db59974018",
+    "simulate-finite-optimal-json": "86cbff6ae66116f3d97f845c78d30b25815f25c8427149ce9e70380ba7537374",
     "help": "4d991b3d5decf0acf93622ce8e3770772058b243c29769bf2260e2ef7c4e48bf",
     "offline-help": "ed3374200073b33f5718e321178d046b63ee8c072383850e60f1bcb27bdc6926",
     "geometric-help": "05c259878f7585a8e907b186d3f4b69589e8984dca5d3b2dae85fc14e2273d82",
@@ -107,6 +117,8 @@ GOLDEN = {
     "geometric-no-rho": "13a1833438fb3d2c0a516718f75e16d4d95c935b9997159acdf6bdb3eaf5b1eb",
     "geometric-unknown-option": "c99c45b7e6d7fe63a20101c2dd7777db72ce02453bd4be11c61a9ed04c67b1ce",
     "simulate-bad-policy": "ef8a85680b75ce60d0729585f80d69a61d2c9e38ff1e993c8702c3113ea864b7",
+    "simulate-finite-optimal-no-n": "3716a0a09cf0b96391a53430322d286e9b3900cfc3c9f33921d5d942323ebfb8",
+    "simulate-geometric-optimal-no-rho": "ff70a8ebd862a83d1074dbe4a60cb258e97996cf4ccb2b3aa847909625ab20fe",
     "unknown-command": "b89b3136b22657f46b19b937b6f0a82bfaf93e6f82dc638cb29399e6b6a7edbd",
     "no-command": "60c4e9a39280c75b6b0b23d7ad391354fe4351ab193c1b91a35c1cb998fb6b99",
 }

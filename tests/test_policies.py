@@ -30,24 +30,22 @@ def contract_threshold(policy, i, y, block_pos):
     """The threshold of observation i in state (y, block_pos), in scalar floats.
 
     Written from the policies' stated contracts, independently of step_batch:
-    the concatenated rule interpolates its block's stage row as
-    a*(1 - f) + b*f, and the finite-optimal rule is np.interp to the bit.
+    both table rules interpolate a stage row as a*(1 - f) + b*f, the
+    concatenated rule its block position's row and the finite-optimal rule
+    stage i's, at the state clipped at 0.
     """
     if isinstance(policy, ConcatenatedPolicy):
         if block_pos == 0:
             return 5 / 6
-        sol = policy.solution
-        row = sol.threshold_row(block_pos)
-        u = y / float(sol.ys[1] - sol.ys[0])
-        j = min(int(u), row.size - 2)
-        f = u - j
-        return float(row[j]) * (1.0 - f) + float(row[j + 1]) * f
-    if isinstance(policy, FiniteOptimalPolicy):
-        if not 1 <= i <= policy.n:
-            raise ValueError(f"step index {i} outside 1..{policy.n}")
-        sol = policy.solution
-        return float(np.interp(y, sol.ys, sol.threshold_row(i)))
-    return max(policy.xi, y)  # fixed threshold, including the geometric-optimal rule
+        i = block_pos
+    elif not isinstance(policy, FiniteOptimalPolicy):
+        return max(policy.xi, y)  # fixed threshold, including the geometric-optimal rule
+    sol = policy.solution
+    row = sol.threshold_row(i)
+    u = max(y, 0.0) / float(sol.ys[1] - sol.ys[0])
+    j = min(int(u), row.size - 2)
+    f = u - j
+    return float(row[j]) * (1.0 - f) + float(row[j + 1]) * f
 
 
 def scalar_step(policy, state, i, x):
@@ -214,6 +212,11 @@ def test_concatenated_requires_three_stages(sol_n3):
 
     with pytest.raises(ValueError):
         ConcatenatedPolicy(solve_finite(2, grid_size=51))
+
+
+def test_concatenated_threshold_needs_the_block_position(sol_n10):
+    with pytest.raises(NotImplementedError):
+        ConcatenatedPolicy(sol_n10).threshold(1, 0.5)
 
 
 def test_selected_subsequences_alternate(sol_n10):
@@ -533,11 +536,36 @@ def test_concat_threshold_interpolates_its_stage_row(seed, n, grid_size, y):
     # random tables, so no solver's regularity hides a misread cell or row
     rng = seeded_rng(seed)
     ys = np.linspace(0.0, 1.0, grid_size)
-    policy = ConcatenatedPolicy(FiniteSolution(n, ys, rng.random((n, grid_size))))
+    sol = FiniteSolution(n, ys, rng.random((n, grid_size)))
     y = np.array(y)
     block_pos = rng.integers(0, n - 1, size=y.size)
     active = rng.random(y.size) < 0.8
+    policy = ConcatenatedPolicy(sol)
     assert_ties_select_and_predecessors_skip(policy, 1, y, block_pos, active)
+    policy, i = FiniteOptimalPolicy(sol), int(rng.integers(1, n + 1))
+    assert_ties_select_and_predecessors_skip(policy, i, y, np.zeros(y.size), active)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    grid_size=st.integers(min_value=2, max_value=80),
+    skipped=st.integers(min_value=1, max_value=5),
+)
+def test_coalescence_level_bounds_random_rows(seed, grid_size, skipped):
+    # Stages 1..skipped + 1 read row 0 of a random table; at every state they
+    # can reach its threshold is at most the level.
+    rng = seeded_rng(seed)
+    ys = np.linspace(0.0, 1.0, grid_size)
+    table = rng.random((3, grid_size))
+    policy = FiniteOptimalPolicy(FiniteSolution(3 + skipped, ys, table))
+    level = policy.coalescence_level
+    if level is None:
+        return
+    assert policy.coalescence_until == skipped + 1
+    top = 1.0 - policy.threshold(1, np.concatenate([ys, rng.random(100)])).min()
+    y = np.concatenate([ys, np.nextafter(ys, 0.0), rng.random(200) * top, [top]])
+    assert policy.threshold(skipped + 1, y[(y >= 0.0) & (y <= top)]).max() <= level
 
 
 @functools.cache
@@ -545,39 +573,36 @@ def solved(grid_size: int):
     return solve_finite(100, grid_size)  # settled before stage 1 from grid 11
 
 
-def assert_lookup_is_np_interp(policy, y):
+def same_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def assert_threshold_is_the_contract(policy, y):
+    """threshold(i, y) equals contract_threshold to the bit at every row, on
+    y whole, on slices of half the grid, as two rows of lanes and per scalar."""
     sol = policy.solution
+    width = max(1, sol.ys.size // 2)
+    lanes = y[: y.size // 2 * 2].reshape(2, -1)
     for i in range(sol.n - len(sol.threshold_table) + 1, sol.n + 1):  # every row
-        got = policy.threshold(i, y)
-        want = np.interp(y, sol.ys, sol.threshold_row(i))
-        assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+        want = np.array([contract_threshold(policy, i, v, 0) for v in y])
+        assert same_bits(policy.threshold(i, y), want)
+        for lo in range(0, y.size, width):
+            assert same_bits(policy.threshold(i, y[lo : lo + width]), want[lo : lo + width])
+        assert same_bits(policy.threshold(i, lanes), want[: lanes.size].reshape(2, -1))
+        for state, value in zip(y[-2:], want[-2:]):  # 0.0 and 1.0
+            assert same_bits(policy.threshold(i, float(state)), value)
 
 
 @pytest.mark.parametrize("grid_size", [3, 4, 11, 101, 2001])
-def test_threshold_lookup_is_np_interp_to_the_bit(grid_size):
+def test_threshold_follows_the_table_kernel_contract(grid_size):
     policy = FiniteOptimalPolicy(solved(grid_size))
     ys = policy.solution.ys
     y = np.concatenate([
         seeded_rng(grid_size).random(200),
-        ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf), [0.0, 1.0],
+        ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf), [-0.5, 0.0, 1.0],
     ])
-    # numpy precomputes the slopes when len(ys) <= len(y): widths on both sides
-    assert y.size > grid_size
-    assert_lookup_is_np_interp(policy, y)
-    width = max(1, grid_size // 2)
-    for lo in range(0, y.size, width):
-        assert_lookup_is_np_interp(policy, y[lo : lo + width])
-    for state in (0.0, 1.0):
-        assert_lookup_is_np_interp(policy, state)
-
-
-@settings(deadline=None)
-@given(
-    grid_size=st.sampled_from([3, 4, 11, 101, 2001]),
-    y=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
-)
-def test_threshold_lookup_is_np_interp_at_any_state(grid_size, y):
-    assert_lookup_is_np_interp(FiniteOptimalPolicy(solved(grid_size)), np.array(y))
+    assert y.size > grid_size  # wider than the grid, and its slices narrower
+    assert_threshold_is_the_contract(policy, y)
 
 
 def test_stationary_rate_values():
