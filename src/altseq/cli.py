@@ -225,12 +225,9 @@ def cmd_simulate(args) -> tuple[dict, list[dict] | None]:
     policy, label, horizon = _build_policy(args)
     row = _simulate(label, args, policy, **horizon)
     config = {key: row[key] for key in RUN_COLUMNS}
-    payload = {
-        "command": "simulate",
-        "config": {**config, "grid": args.grid},
-        "result": row,
-    }
-    return payload, [row]
+    if isinstance(policy, (FiniteOptimalPolicy, ConcatenatedPolicy)):
+        config["grid"] = args.grid  # the grid it was solved on
+    return {"command": "simulate", "config": config, "result": row}, [row]
 
 
 def cmd_compare(args) -> tuple[dict, list[dict] | None]:

@@ -251,6 +251,7 @@ SIM_ROW_KEYS = [
         (["geometric-optimal", "--rho", "0.8", "--n", "20"],
          "geometric-optimal(rho=0.8)", "fixed", 20),
         (["concat", "--rho", "0.8", "--n", "5"], "concat(n=5)", "geometric", 0.8),
+        (["finite-optimal", "--n", "20"], "finite-optimal", "fixed", 20),
     ],
 )
 def test_simulate_config_describes_the_run(capsys, argv, label, kind, param):
@@ -261,9 +262,11 @@ def test_simulate_config_describes_the_run(capsys, argv, label, kind, param):
     assert code == 0
     payload = json.loads(out)
     config, row = payload["config"], payload["result"]
-    assert list(config) == SIM_ROW_KEYS[:5] + ["grid"]
+    # only the rules solved on the grid report it
+    solved = {"grid": 101} if label.startswith(("concat", "finite-optimal")) else {}
+    assert list(config) == SIM_ROW_KEYS[:5] + list(solved)
     assert list(row) == SIM_ROW_KEYS
-    assert config == {**{key: row[key] for key in SIM_ROW_KEYS[:5]}, "grid": 101}
+    assert config == {**{key: row[key] for key in SIM_ROW_KEYS[:5]}, **solved}
     assert [config[key] for key in SIM_ROW_KEYS[:5]] == [label, kind, param, 30, 4]
     assert type(config["horizon_param"]) is type(param)
 

@@ -93,10 +93,10 @@ GOLDEN = {
     "geometric-solve-lines": "ed74a2f84c3e4835a84763efe1d5c57b5386f7c77db45f5b071fbb09aa75c82f",
     "geometric-solve-json": "9591de0175d05514143d233eb888da0c18eea17844729839e541a5635baae36e",
     "simulate-rows": "65fb3cf2bc6649b106256fc866a4d7b7a79915b05f4d73fbc5663ae99a2cbe4f",
-    "simulate-json": "b1fd83d160567070791df3296018e009dc9c1c03af76f5194da8da8e6ec9755d",
+    "simulate-json": "46f06ad055851fb32a3b2918e95623e4b9b1b5631715b0e12a78d1013ba17c4e",
     "compare-rows": "5c396bb7f289e90bc0cc686eaa3c0f38caffa7c7f78bcc1aa9d33366b10bbb95",
     "compare-json": "404cdb2cb6e30bef868d71cab7adb3c6005435f5396c9836835a3ec551e76bf3",
-    "simulate-out-json": "f3273c378cd416936ad940930c0d29d8d65ff0b3f04bb060d19313fb7285efee",
+    "simulate-out-json": "f916f32cf1e247632337ac2a1dd9976695a0199ffdb52af0f0e26b62e43124b4",
     "simulate-out-csv": "f8f41ecdcc90bfe2f5aaad6ece27126de7f4878282d5da0e0fa0e334395a6bd0",
     "finite-out-json": "0424cdcc009b7cd867ac490589eefb5b6828fb1840e480ed50636e0d5cebfff2",
     "offline-out-csv": "ee7bbf88db2000c8dfc41006bcf8a8b0f80b9778fb3225fbe517d0f6c7976129",
@@ -104,8 +104,8 @@ GOLDEN = {
     "bad-suffix": "63c7352bb8fd73fd159cfdd8745a2b2324e7f325209058a8e1082ccc765355af",
     "two-horizons": "b1ca6473f5ac7c308685e22d225f6f34f25c1c6618098a5b3365fa8297194491",
     "over-budget": "6aa271a22784cfe24b2001aeccb9bd58cb23d7ff744aa3a7db6dc3876de07396",
-    "simulate-timid-long-json": "602e0e09d753ed55b394fa48e1c0b6e9925e9f2f54fc3cd6328f99d1d873054a",
-    "simulate-geometric-long-json": "4e89cd970d425458be6019d54d78d9f7a2df4b2c5b7c563d15c6dd0e7aacac2f",
+    "simulate-timid-long-json": "9e1c339888c0058eed1610862bd955d32230ab758c8b5cb0288f889efc11d2f9",
+    "simulate-geometric-long-json": "b6760ddeceda883b13977cd9ca182ac5d5f1dea462770952e717babf8aca3d36",
     "compare-long-json": "f9e89611d392e9370e3d6de829db7429c7868ee302500a5796cea3db59974018",
     "simulate-finite-optimal-json": "86cbff6ae66116f3d97f845c78d30b25815f25c8427149ce9e70380ba7537374",
     "help": "4d991b3d5decf0acf93622ce8e3770772058b243c29769bf2260e2ef7c4e48bf",
