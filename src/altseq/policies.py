@@ -133,11 +133,11 @@ class FiniteOptimalPolicy(_TableRule):
             # A selected x is at least lo, so states stay in [0, top].
             row = solution.threshold_table[0]
             lo = np.nextafter(row.min() * (1.0 - 2.0**-50), 0.0)
-            top = np.array([1.0 - lo])
+            top = 1.0 - lo
             # Up to top the kernel reads the cells up to top's, and in top's
             # cell it interpolates between the left end and its value at top.
-            j = min(int(top[0] / self._step), self._last_cell)
-            level = max(row[: j + 1].max(), self._interp(top, 0)[0])
+            j = min(int(top / self._step), self._last_cell)
+            level = max(row[: j + 1].max(), self.threshold(1, top))  # row 0
             level = np.nextafter(level * (1.0 + 2.0**-50), 2.0)
             if level < 1.0:
                 self.coalescence_level = float(level)
