@@ -391,3 +391,30 @@ def test_pricing_any_horizon_takes_at_most_2k_sweeps(monkeypatch):
     monkeypatch.setattr(_bellman, "apply_flipped", counted)
     assert math.isfinite(optimal_expected(10**9, 2001))
     assert calls <= 2 * k
+
+
+@pytest.mark.parametrize("grid_size", [3, 4])
+def test_priced_grids_that_never_settle_keep_every_row_of_the_sweep(grid_size):
+    # n = 300 keeps more rows than any buffer sized for a settling grid holds
+    n = 300
+    full = full_solution(n, grid_size)
+    table = solve_finite(n, grid_size).threshold_table
+    assert table.shape == full.threshold_table.shape == (n, grid_size)
+    assert np.array_equal(table, full.threshold_table)
+
+
+@pytest.mark.parametrize("grid_size, k", [(5, 79), (11, 98), (101, 72), (2001, 72)])
+def test_pricing_stops_where_solve_finite_stops(monkeypatch, grid_size, k):
+    # the K that sizes the policies' table is the K that prices n > 2K
+    assert len(solve_finite(1000, grid_size).threshold_table) == k
+    calls = 0
+    apply_flipped = _bellman.apply_flipped
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return apply_flipped(*args)
+
+    monkeypatch.setattr(_bellman, "apply_flipped", counted)
+    optimal_expected(1000, grid_size)
+    assert calls == 2 * k
