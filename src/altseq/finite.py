@@ -9,8 +9,9 @@ v[i] for horizon n equals the (n - i + 1)-fold application of the rho=1
 Bellman operator to zero, each also returning its stage's threshold as a full
 curve (the value rows are not flat on an initial segment, as geometric ones
 are). The curves settle within a few dozen stages, at K, onto the stationary
-rule max(y, 1 - 1/sqrt(2)), where a policy's sweep stops; each later sweep
-adds the same amount to v_k = T^k(0)(0) to rounding, so n > 2K is priced as
+rule max(y, 1 - 1/sqrt(2)). One stop rule, decided in _sweep, finds K for both
+uses: a policy's sweep stops there, and since each later sweep adds the same
+amount to v_k = T^k(0)(0) to rounding, n > 2K is priced as
 v_K + (n - K)(v_2K - v_K)/K. Only the value table needs every stage.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import mmap
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -43,11 +45,11 @@ def check_table_budget(n: int, grid_size: int) -> None:
         )
 
 
-#: Threshold rows k and k - 1 (observations left) this close in sup norm end
-#: the sweep of solve_finite, at k >= 3 because f_1 = f_2 = y exactly. At 1e-12
-#: it stops at k = 72 on grids 101-4001, 73 on grid 51 and 98 on grid 11, and
-#: no later row up to k = 3000 drifts from the last one kept by more than
-#: 4e-12; grids 3 and 4 converge too slowly to stop before n.
+#: Threshold rows k and k - 1 (observations left) this close in sup norm settle
+#: the sweep (_sweep's flag), at k >= 3 because f_1 = f_2 = y exactly. At 1e-12
+#: K = 72 on grids 101-4001, 73 on 51, 79 on 5, 98 on 11 and 125 on 7, and no
+#: later row up to k = 3000 drifts from the last one kept by more than 5e-12;
+#: grids 3 and 4 converge too slowly to settle before n.
 STAGE_TOL = 1e-12
 
 
@@ -72,7 +74,7 @@ class FiniteSolution:
     @functools.cached_property
     def value_table(self) -> np.ndarray:
         table = _bellman.mapped_zeros((self.n + 1, self.ys.size))
-        for k, (w, _) in enumerate(_sweep(self.n, self.ys), start=1):
+        for k, (w, _, _) in enumerate(_sweep(self.n, self.ys), start=1):
             table[self.n - k] = w  # stage n - k + 1
         table.setflags(write=False)
         return table
@@ -95,17 +97,14 @@ class FiniteSolution:
         return self.threshold_table[self.stage_rows(i)]
 
 
-def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (T^k(0), f_k), k = 1..n: value and threshold, k observations left."""
-    w = np.zeros(ys.size)
-    for _ in range(n):
-        w, f = _bellman.apply_flipped(w, ys, 1.0)
-        yield w, f
-
-
-def _settled(k: int, f: np.ndarray, f_prev: np.ndarray | None) -> bool:
-    """Whether rows f_k and f_(k-1) end a sweep: the STAGE_TOL rule, k >= 3."""
-    return k >= 3 and np.max(np.abs(f - f_prev)) <= STAGE_TOL
+def _sweep(n: int, ys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, bool]]:
+    """Yield (T^k(0), f_k, settled), k = 1..n: value and threshold with k
+    observations left, and whether the rows have settled by k (STAGE_TOL)."""
+    w, f, settled = np.zeros(ys.size), None, False
+    for k in range(1, n + 1):
+        f_prev, (w, f) = f, _bellman.apply_flipped(w, ys, 1.0)
+        settled = settled or k >= 3 and np.max(np.abs(f - f_prev)) <= STAGE_TOL
+        yield w, f, settled
 
 
 def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
@@ -113,17 +112,14 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     n = check_horizon(n)
     check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
-    # f_k in row k - 1. K was at most 125 on every grid measured from 5 up
-    # (5-401 and seven from 1001 to 10001), so only grids 3 and 4 grow it.
-    rows = np.empty((min(n, 128), grid_size))
-    for k, (_, f) in enumerate(_sweep(n, ys), start=1):
-        if k > len(rows):
-            rows.resize((min(n, 2 * k), grid_size), refcheck=False)
-        rows[k - 1] = f
-        if _settled(k, f, rows[k - 2]):
+    # resident only in the rows written: numpy maps large blocks with huge pages
+    rows = np.frombuffer(mmap.mmap(-1, 8 * n * grid_size)).reshape(n, grid_size)
+    for k, (_, f, settled) in enumerate(_sweep(n, ys), start=1):
+        rows[n - k] = f  # stage n - k + 1
+        if settled:
             break
     threshold_table = _bellman.mapped_zeros((k, grid_size))
-    threshold_table[:] = rows[k - 1 :: -1]  # stage order: row 0 is stage n - k + 1
+    threshold_table[:] = rows[n - k :]
     threshold_table.setflags(write=False)
     return FiniteSolution(n=n, ys=ys, threshold_table=threshold_table)
 
@@ -134,12 +130,10 @@ def optimal_expected(n: int, grid_size: int = DEFAULT_GRID) -> float:
     v_K + (n - K)(v_2K - v_K)/K from 2K sweeps if n > 2K, else the swept v_n.
     """
     sweep = _sweep(check_horizon(n), _bellman.uniform_grid(grid_size))
-    f_prev = None
-    for k, (w, f) in enumerate(sweep, start=1):
-        if 2 * k < n and _settled(k, f, f_prev):
+    for k, (w, _, settled) in enumerate(sweep, start=1):
+        if settled and 2 * k < n:
             v_2k = next(itertools.islice(sweep, k - 1, None))[0][0]  # the k-th next
             return float(w[0] + (n - k) * (v_2k - w[0]) / k)
-        f_prev = f
     return float(w[0])
 
 
@@ -147,7 +141,7 @@ def optimal_expected_curve(n_max: int, grid_size: int = DEFAULT_GRID) -> np.ndar
     """The full sweep's v_n for every n in 1..n_max: optimal_expected to n = 2K."""
     n_max = check_horizon(n_max)
     ys = _bellman.uniform_grid(grid_size)
-    return np.array([w[0] for w, _ in _sweep(n_max, ys)])
+    return np.array([w[0] for w, _, _ in _sweep(n_max, ys)])
 
 
 def threshold_at(sol: FiniteSolution, i: int, y: float) -> float:

@@ -29,7 +29,7 @@ SQRT2 = math.sqrt(2.0)
 def full_solution(n: int, grid_size: int = _bellman.DEFAULT_GRID) -> FiniteSolution:
     """A solution holding every stage's threshold row: the sweep, never stopped."""
     ys = _bellman.uniform_grid(grid_size)
-    rows = [f for _, f in _sweep(n, ys)]  # f_k, k observations left
+    rows = [f for _, f, _ in _sweep(n, ys)]  # f_k, k observations left
     return FiniteSolution(n=n, ys=ys, threshold_table=np.array(rows[::-1]))
 
 
@@ -253,7 +253,7 @@ def test_truncated_rows_stay_within_the_stop_tolerance_of_the_full_sweep(grid_si
     sol = solve_finite(n, grid_size)
     kept = len(sol.threshold_table)
     assert 70 <= kept <= 100
-    for k, (_, f) in enumerate(_sweep(n, sol.ys), start=1):
+    for k, (_, f, _) in enumerate(_sweep(n, sol.ys), start=1):
         row = sol.threshold_row(n - k + 1)
         if k <= kept:
             assert np.array_equal(row, f), k
