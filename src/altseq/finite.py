@@ -112,7 +112,7 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     n = check_horizon(n)
     check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
-    # resident only in the rows written: numpy maps large blocks with huge pages
+    # a lazy anonymous map: resident only in the rows written, never in huge pages
     rows = np.frombuffer(mmap.mmap(-1, 8 * n * grid_size)).reshape(n, grid_size)
     for k, (_, f, settled) in enumerate(_sweep(n, ys), start=1):
         rows[n - k] = f  # stage n - k + 1

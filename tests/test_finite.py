@@ -395,7 +395,8 @@ def test_pricing_any_horizon_takes_at_most_2k_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("grid_size", [3, 4])
 def test_priced_grids_that_never_settle_keep_every_row_of_the_sweep(grid_size):
-    # n = 300 keeps more rows than any buffer sized for a settling grid holds
+    # no row settles, so all n rows are kept: n = 300 is past K on every grid
+    # that settles (at most 125, on grid 7)
     n = 300
     full = full_solution(n, grid_size)
     table = solve_finite(n, grid_size).threshold_table
