@@ -44,10 +44,15 @@ def mapped_zeros(shape: int | tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(buf, np.float64, count).reshape(shape)
 
 
-def uniform_grid(grid_size: int) -> np.ndarray:
+def check_grid(grid_size: int) -> int:
+    """The grid rule, checked without building the grid."""
     if operator.index(grid_size) < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size}")
-    ys = np.linspace(0.0, 1.0, grid_size)
+    return grid_size
+
+
+def uniform_grid(grid_size: int) -> np.ndarray:
+    ys = np.linspace(0.0, 1.0, check_grid(grid_size))
     ys.setflags(write=False)  # shared by every solution solved on it
     return ys
 

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import finite, geometric, montecarlo
-from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2, uniform_grid
+from ._bellman import DEFAULT_GRID, DEFAULT_TOL, SQRT2, check_grid
 from .policies import (
     ConcatenatedPolicy,
     FiniteOptimalPolicy,
@@ -221,7 +221,7 @@ def _build_policy(args) -> tuple[Policy, str, dict]:
 
 
 def cmd_simulate(args) -> tuple[dict, list[dict] | None]:
-    uniform_grid(args.grid)  # the grid rule, for every policy
+    check_grid(args.grid)  # the grid rule, for every policy
     policy, label, horizon = _build_policy(args)
     row = _simulate(label, args, policy, **horizon)
     config = {key: row[key] for key in RUN_COLUMNS}
@@ -233,7 +233,7 @@ def cmd_simulate(args) -> tuple[dict, list[dict] | None]:
 def cmd_compare(args) -> tuple[dict, list[dict] | None]:
     n_finite = min(args.n, FINITE_COMPARE_CAP)
     finite.check_table_budget(n_finite, args.grid)  # refuse before any simulation
-    uniform_grid(args.grid)  # the grid rule, also before any simulation
+    check_grid(args.grid)  # the grid rule, also before any simulation
     xi_star = 1.0 - 1.0 / SQRT2
     finite_label = "finite-optimal" if n_finite == args.n else (
         f"finite-optimal(reduced n={n_finite})"

@@ -3,20 +3,22 @@
 Replicate streams are counter-based: replicate r of a run with seed s draws
 from Philox keyed by (s, r), so results are bit-identical for a given
 configuration no matter how replicates are chunked or scheduled, and any
-replicate can be regenerated in isolation. Each stream is keyed directly:
-no OS entropy is read and no SeedSequence mixes the key, and the draws are
-those of Philox(key=[s, r]). Within a stream the draw order is: horizon draw
-first (geometric runs only), then the observations.
+replicate can be regenerated in isolation. Each stream is keyed directly, at
+an all-zero counter passed as four words: no OS entropy is read and no
+SeedSequence mixes the key, and the draws are those of Philox(key=[s, r]).
+Within a stream the draw order is: horizon draw first (geometric runs only),
+then the observations.
 
 A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
 live, cut at CHUNK_TARGET_ELEMENTS observations or where a quarter of its
-rows have ended, so a block holds at most 4/3 of its live observations; it is
-filled through a small tile. A slice narrower than LANE_WIDTH // 8 rows steps
-as lanes, side by side, in the stages where its policy has a coalescence level:
-each row is cut where every state selects. A slice that would run past those
-stages (finite-optimal's settled stages 1..n - K + 1) is cut where they end if
-they step as lanes; the stages after them step one at a time.
+rows have ended, so a block holds at most 4/3 of its live observations; its
+rows draw in place into a small tile. A slice narrower than LANE_WIDTH // 8
+rows steps as lanes, side by side, in the stages where its policy has a
+coalescence level: each row is cut where every state selects. A slice that
+would run past those stages (finite-optimal's settled stages 1..n - K + 1) is
+cut where they end if they step as lanes; the stages after them step one at a
+time.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ MAX_CHUNK = 8192
 CHUNK_TARGET_ELEMENTS = 4_000_000
 #: Observations in the row-major tile that fills a slice if it holds at least
 #: TILE_MIN_ROWS rows, a 64-byte line of a step. ns per element, columns against
-#: tile, best of 15-25 on a shared 2-core Xeon: 18.8 and 10.6 at 4096 x 719,
-#: 20.1 and 10.7 at 1024 x 3900, 16.4 and 18.8 at 200 x 10000.
+#: tile drawn in place, best of 31 in each of two runs on a shared 2-core Xeon:
+#: 20.0-23.9 and 9.2-9.7 at 4096 x 719, 18.5-21.4 and 8.5-10.0 at 1024 x 3900,
+#: 9.7-10.2 and 9.7 at 200 x 10000 (a tie: rows x steps, all rows live).
 TILE_ELEMENTS = 2**16
 TILE_MIN_ROWS = 8
 #: Lanes stepped at once. A slice narrower than LANE_WIDTH // 8 rows steps as
@@ -136,15 +139,22 @@ def _register_direct_key() -> None:
     ISeedSequence.register(_DirectKey)
 
 
+#: Every stream's counter at its start, passed as Philox's four words: the int 0
+#: would be split into words in Python code on every call. Philox copies it.
+_ZERO_COUNTER = np.zeros(4, np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     """The dedicated stream of one replicate: Philox keyed by (seed, rep).
 
     The key is installed directly: no OS entropy is read and no SeedSequence
     mixes it, and the draws equal those of Philox(key=[seed, rep]). Every
-    call returns a new, independent Generator at counter 0.
+    call returns a new, independent Generator at the all-zero counter, which
+    is passed as words.
     """
     _register_direct_key()
-    return np.random.Generator(np.random.Philox(_DirectKey(seed, rep)))
+    return np.random.Generator(np.random.Philox(_DirectKey(seed, rep), _ZERO_COUNTER))
 
 
 def sample_horizon(rng: np.random.Generator, rho: float) -> int:
@@ -203,8 +213,9 @@ def _fill(X, lengths: list, t0: int, rngs) -> list:
     """Fill slice X (steps x rows, from step t0) with its rows' next draws,
     zeros past their ends; returns the streams of the rows that outlive it.
 
-    Rows draw into a row-major tile, copied into X a block of columns at a
-    time and zeroed first if a row of the block ends in X.
+    Rows draw in place into a row-major tile, copied into X a block of
+    columns at a time and zeroed first if a row of the block ends in X;
+    without a tile, each row's draws are copied into its strided column.
     """
     T, w = X.shape
     t1 = t0 + T
@@ -218,7 +229,10 @@ def _fill(X, lengths: list, t0: int, rngs) -> list:
         if tile is not None and lengths[p0 + len(block) - 1] < t1:
             rows[:] = 0.0
         for j, (h, rng) in enumerate(zip(lengths[p0 : p0 + b], rngs)):
-            rows[j, : h - t0] = rng.random(min(h, t1) - t0)
+            if tile is None:  # a strided column of X
+                rows[j, : h - t0] = rng.random(min(h, t1) - t0)
+            else:
+                rng.random(out=rows[j, : h - t0])
             if h > t1:
                 running.append(rng)
         if tile is not None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -532,13 +533,34 @@ def test_compare_checks_the_grid_before_simulating(monkeypatch, capsys):
         ["timid", "--n", "5"],
         ["threshold", "--xi", "0.2", "--n", "5"],
         ["geometric-optimal", "--rho", "0.9"],
+        ["finite-optimal", "--n", "5"],
+        ["concat", "--n", "5", "--rho", "0.9"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_simulate_checks_the_grid_for_every_policy(capsys, policy):
-    code = main(["simulate", "--policy", *policy, "--reps", "3", "--grid", "1"])
-    assert code == 2
-    assert capsys.readouterr().err == "error: grid_size must be >= 3, got 1\n"
+    for grid in (1, 2):
+        argv = ["simulate", "--policy", *policy, "--reps", "3", "--grid", str(grid)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grid_size must be >= 3, got {grid}\n"
+
+
+def test_simulate_checks_a_grid_it_does_not_read_without_building_it(monkeypatch):
+    import altseq._bellman as bellman
+
+    def build(grid_size):
+        raise AssertionError(f"built a grid of {grid_size} points")
+
+    monkeypatch.setattr(bellman, "uniform_grid", build)
+    argv = ["simulate", "--policy", "greedy", "--n", "10", "--reps", "10"]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--grid", "20000001"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7  # the grid alone would be 160 MB
 
 
 #: Runs every solver and runner once, then prints which test-only packages

@@ -244,6 +244,25 @@ def test_streams_are_philox_keyed_directly(seed, rep, k):
     assert np.array_equal(resumed.random(4), reference.random(4))
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**64 - 1])
+def test_streams_start_at_the_shared_zero_counter(seed):
+    zero = montecarlo._ZERO_COUNTER
+    with pytest.raises(ValueError):
+        zero[0] = 1  # read-only: no stream can move another's start
+    drawn = replicate_rng(seed, 0)
+    drawn.random(1000)
+    pickle.loads(pickle.dumps(drawn)).random(10)
+    for rep in (1, 2**64 - 1):
+        # built after another stream has drawn, a stream still starts at 0
+        key = np.array([seed, rep], dtype=np.uint64)
+        ours, reference = replicate_rng(seed, rep), np.random.Philox(key=key)
+        np.testing.assert_equal(ours.bit_generator.state, reference.state)
+        assert not ours.bit_generator.state["state"]["counter"].any()
+        ours.random(7)
+    assert zero.dtype == np.uint64 and zero.tolist() == [0, 0, 0, 0]
+    assert not zero.flags.writeable
+
+
 def test_a_direct_key_serves_only_philox_requests():
     key = montecarlo._DirectKey(1, 2)
     assert key.generate_state(2, np.uint64).tolist() == [1, 2]

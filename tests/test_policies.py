@@ -95,9 +95,12 @@ def batch_counts(policy, X, lengths=None):
         def __init__(self, values):
             self.values, self.used = values, 0
 
-        def random(self, size):
-            self.used += size
-            return self.values[self.used - size : self.used]
+        def random(self, size=None, out=None):  # as Generator.random: fills out
+            if out is None:
+                out = np.empty(size)
+            self.used += len(out)
+            out[:] = self.values[self.used - len(out) : self.used]
+            return out
 
     counts = np.empty(rows, dtype=np.int64)
     counts[order] = montecarlo._simulate_batch(
