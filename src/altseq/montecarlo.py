@@ -7,7 +7,9 @@ replicate can be regenerated in isolation. Each stream is keyed directly, at
 an all-zero counter passed as four words: no OS entropy is read and no
 SeedSequence mixes the key, and the draws are those of Philox(key=[s, r]).
 Within a stream the draw order is: horizon draw first (geometric runs only),
-then the observations.
+then the observations. Fixed-horizon and offline runs re-key the Generator of
+a row that has drawn its last observation for the next replicate, in place of
+building a new one; a geometric row holds its own from its horizon draw on.
 
 A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
@@ -145,14 +147,34 @@ _ZERO_COUNTER = np.zeros(4, np.uint64)
 _ZERO_COUNTER.setflags(write=False)
 
 
-def replicate_rng(seed: int, rep: int) -> np.random.Generator:
+def replicate_rng(
+    seed: int, rep: int, spent: np.random.Generator | None = None
+) -> np.random.Generator:
     """The dedicated stream of one replicate: Philox keyed by (seed, rep).
 
     The key is installed directly: no OS entropy is read and no SeedSequence
-    mixes it, and the draws equal those of Philox(key=[seed, rep]). Every
-    call returns a new, independent Generator at the all-zero counter, which
-    is passed as words.
+    mixes it, and the draws equal those of Philox(key=[seed, rep]) from the
+    all-zero counter. Without spent, the call returns a new Generator, its
+    counter passed as words. Given spent, a Generator that an earlier call
+    returned and that nothing will draw from again, it re-keys spent in place
+    through Philox's state setter, about a third of the cost of a new one,
+    and returns it; its seed source then reads (seed, rep). Any other spent
+    raises ValueError and is left as it was.
     """
+    if spent is not None:
+        key = spent.bit_generator._seed_seq
+        if type(key) is not _DirectKey:
+            raise ValueError("only a stream that replicate_rng built can be re-keyed")
+        spent.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (seed, rep)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,  # the buffer is empty: the next draw computes a block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        key.seed, key.rep = seed, rep
+        return spent
     _register_direct_key()
     return np.random.Generator(np.random.Philox(_DirectKey(seed, rep), _ZERO_COUNTER))
 
@@ -209,9 +231,11 @@ def _step_lanes(policy, view, X, lengths, segments: int, t0: int) -> np.ndarray:
     return tally.sum(0)
 
 
-def _fill(X, lengths: list, t0: int, rngs) -> list:
+def _fill(X, lengths: list, t0: int, rngs, spent: list | None) -> list:
     """Fill slice X (steps x rows, from step t0) with its rows' next draws,
     zeros past their ends; returns the streams of the rows that outlive it.
+    The stream of each row that ends in X is appended to spent, unless it is
+    None, as soon as the row is drawn, so that a later row of X may re-key it.
 
     Rows draw in place into a row-major tile, copied into X a block of
     columns at a time and zeroed first if a row of the block ends in X;
@@ -235,19 +259,24 @@ def _fill(X, lengths: list, t0: int, rngs) -> list:
                 rng.random(out=rows[j, : h - t0])
             if h > t1:
                 running.append(rng)
+            elif spent is not None:
+                spent.append(rng)
         if tile is not None:
             block[:] = rows
     return running
 
 
-def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
+def _simulate_batch(
+    policy: Policy, lengths: list, stream, spent: list | None = None
+) -> np.ndarray:
     """Run rows of non-increasing lengths through the policy; returns counts.
 
     stream(p) is row p's Generator at its first observation; a row that runs
-    past a slice keeps it for the next. A slice steps its w live rows alone;
-    it ends where a quarter of them have ended, so it holds at most 4/3 of its
-    live observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider,
-    or, if it steps as lanes, at the policy's coalescence_until.
+    past a slice keeps it for the next, and a row drawn to its end hands it to
+    spent, if given. A slice steps its w live rows alone; it ends where a
+    quarter of them have ended, so it holds at most 4/3 of its live
+    observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider, or, if
+    it steps as lanes, at the policy's coalescence_until.
 
     A slice stepped one observation at a time passes active=None while all
     its rows are live; from the step where the first of them has ended, one
@@ -269,7 +298,8 @@ def _simulate_batch(policy: Policy, lengths: list, stream) -> np.ndarray:
         if segments >= 2:
             t1 = t2  # the later stages go to the next slice
         X = mapped_zeros((t1 - t0, w))
-        running = _fill(X, lengths, t0, iter(held) if t0 else map(stream, range(w)))
+        rngs = iter(held) if t0 else map(stream, range(w))
+        running = _fill(X, lengths, t0, rngs, spent)
         view = {key: v[:w] for key, v in batch.items()}
         if segments >= 2:
             counts[:w] += _step_lanes(policy, view, X, lengths[:w], segments, t0)
@@ -294,10 +324,16 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
         raise ValueError("run_fixed_horizon needs a fixed-horizon config")
     counts = np.empty(cfg.reps, dtype=np.int64)
     chunk = max(1, min(MAX_CHUNK, CHUNK_TARGET_ELEMENTS // cfg.n))
+    spent = []  # the Generators of rows drawn to their end, to re-key
     for lo in range(0, cfg.reps, chunk):
         rows = min(chunk, cfg.reps - lo)
         counts[lo : lo + rows] = _simulate_batch(
-            cfg.policy, [cfg.n] * rows, lambda p: replicate_rng(cfg.seed, lo + p)
+            cfg.policy,
+            [cfg.n] * rows,
+            lambda p: replicate_rng(
+                cfg.seed, lo + p, spent.pop() if spent else None
+            ),
+            spent,
         )
     return _aggregate(counts)
 
@@ -348,6 +384,8 @@ def run_offline(n: int, reps: int, seed: int) -> RunResult:
     """Full-knowledge baseline: the offline statistic on each replicate."""
     check_run(reps, seed, n)
     counts = np.empty(reps, dtype=np.int64)
+    rng = None  # each replicate re-keys the last one's Generator
     for r in range(reps):
-        counts[r] = _offline_count(replicate_rng(seed, r), n)
+        rng = replicate_rng(seed, r, rng)
+        counts[r] = _offline_count(rng, n)
     return _aggregate(counts)

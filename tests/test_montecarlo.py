@@ -271,6 +271,119 @@ def test_a_direct_key_serves_only_philox_requests():
             key.generate_state(n_words, dtype)
 
 
+def spend(kind: str, k: int) -> np.random.Generator:
+    """A stream of replicate_rng's as a row leaves it: fresh, mid-block after
+    k doubles, or holding half a word after one 32-bit draw."""
+    rng = replicate_rng(k, 2**64 - 1 - k)
+    if kind == "doubles":
+        rng.random(k)
+    elif kind == "uint32":
+        rng.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@settings(deadline=None)
+@given(
+    seed=U64,
+    rep=U64,
+    kind=st.sampled_from(["fresh", "doubles", "uint32"]),
+    k=st.integers(0, 9),
+)
+@example(seed=0, rep=0, kind="uint32", k=0)
+@example(seed=2**64 - 1, rep=2**64 - 1, kind="doubles", k=5)
+@example(seed=42, rep=7, kind="doubles", k=4)
+def test_rekeyed_streams_equal_fresh_ones(seed, rep, kind, k):
+    spent = spend(kind, k)
+    ours, fresh = replicate_rng(seed, rep, spent), replicate_rng(seed, rep)
+    assert ours is spent
+    np.testing.assert_equal(ours.bit_generator.state, fresh.bit_generator.state)
+    key = ours.bit_generator._seed_seq
+    assert (key.seed, key.rep) == (seed, rep)
+    assert key.generate_state(2, np.uint64).tolist() == [seed, rep]
+    # the horizon draw first, then the observations, as Philox(key=[seed, rep])
+    reference = np.random.Generator(
+        np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
+    )
+    assert ours.random() == reference.random()
+    assert np.array_equal(ours.random(k), reference.random(k))
+    # it pickles mid-stream and resumes where it was
+    resumed = pickle.loads(pickle.dumps(ours))
+    assert np.array_equal(resumed.random(6), reference.random(6))
+
+
+def test_rekey_refuses_streams_it_did_not_build():
+    for foreign in (np.random.default_rng(0), np.random.Generator(np.random.Philox(1))):
+        foreign.random(3)
+        before = foreign.bit_generator.state
+        with pytest.raises(ValueError):
+            replicate_rng(1, 2, foreign)
+        np.testing.assert_equal(foreign.bit_generator.state, before)
+
+
+@pytest.mark.parametrize(
+    "run, patch, built",
+    [
+        # rows that end in the first slice: one Generator for every replicate
+        (("greedy", 10, 300), {}, 1),
+        (("greedy", 10, 300), {"MAX_CHUNK": 7}, 1),
+        (("finite-optimal", 12, 50), {"MAX_CHUNK": 4}, 1),
+        # rows that outlive the first slice: a chunk's Generators are re-keyed
+        # by the next chunk
+        (("greedy", 60, 5), {"CHUNK_TARGET_ELEMENTS": 50}, 1),
+        (("timid", 30, 12), {"CHUNK_TARGET_ELEMENTS": 25, "MAX_CHUNK": 3}, 1),
+        # finite-optimal's settled stages cut at coalescence_until = 629
+        (("finite-optimal", 700, 8), {"MAX_CHUNK": 3}, 3),
+        # offline rows beyond the slice budget, and within it
+        (("offline", 1000, 6), {"CHUNK_TARGET_ELEMENTS": 128}, 1),
+        (("offline", 20, 40), {}, 1),
+    ],
+)
+def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
+    name, n, reps = run
+    seed = 2**63 + 11
+    if name == "finite-optimal":
+        policy = FiniteOptimalPolicy(solve_finite(n, 101 if n > 100 else 2001))
+    else:
+        policy = {"greedy": GREEDY, "timid": TIMID, "offline": None}[name]
+
+    def counts():
+        if policy is None:
+            return run_offline(n, reps, seed).per_rep_counts
+        cfg = SimulationConfig(reps=reps, seed=seed, policy=policy, n=n)
+        return run_fixed_horizon(cfg).per_rep_counts
+
+    original, fill = montecarlo.replicate_rng, montecarlo._fill
+    for key, value in patch.items():
+        monkeypatch.setattr(montecarlo, key, value)
+    # the reference builds a new stream for every row
+    monkeypatch.setattr(
+        montecarlo, "replicate_rng", lambda seed, rep, spent=None: original(seed, rep)
+    )
+    fresh = counts()
+    running, calls = [], []
+
+    def recording_fill(X, lengths, t0, rngs, spent):
+        running[:] = fill(X, lengths, t0, rngs, spent)
+        return running
+
+    def checked_rekey(seed, rep, spent=None):
+        calls.append(spent is None)
+        if spent is not None:
+            # never a stream a live row holds: its row has drawn all n values
+            assert not any(spent is rng for rng in running)
+            key = spent.bit_generator._seed_seq
+            ended = original(key.seed, key.rep).bit_generator
+            ended.random_raw(n)  # one word per double
+            np.testing.assert_equal(spent.bit_generator.state, ended.state)
+        return original(seed, rep, spent)
+
+    monkeypatch.setattr(montecarlo, "_fill", recording_fill)
+    monkeypatch.setattr(montecarlo, "replicate_rng", checked_rekey)
+    assert np.array_equal(counts(), fresh)
+    assert len(calls) == reps and sum(calls) == built
+
+
 def test_result_carries_its_counts():
     run = dict(reps=50, seed=2, policy=GREEDY)
     for res in (

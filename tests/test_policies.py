@@ -305,8 +305,8 @@ def test_tiled_fill_stores_each_rows_draws_then_zeros(
         monkeypatch.setattr(montecarlo, "TILE_ELEMENTS", tile)
     fill, slices = montecarlo._fill, []
 
-    def recording_fill(S, lengths, t0, rngs):
-        running = fill(S, lengths, t0, rngs)
+    def recording_fill(S, lengths, t0, rngs, spent):
+        running = fill(S, lengths, t0, rngs, spent)
         slices.append((t0, S.copy()))
         return running
 
