@@ -7,15 +7,15 @@ replicate can be regenerated in isolation. Each stream is keyed directly, at
 an all-zero counter passed as four words: no OS entropy is read and no
 SeedSequence mixes the key, and the draws are those of Philox(key=[s, r]).
 Within a stream the draw order is: horizon draw first (geometric runs only),
-then the observations. Fixed-horizon and offline runs re-key the Generator of
-a row that has drawn its last observation for the next replicate, in place of
-building a new one; a geometric row holds its own from its horizon draw on.
+then the observations. Every run re-keys the Generator of a row drawn to its
+end for a later replicate, rather than build a new one; geometric rows draw
+their horizons first, so a geometric chunk re-keys the last chunk's.
 
 A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
 live, cut at CHUNK_TARGET_ELEMENTS observations or where a quarter of its
 rows have ended, so a block holds at most 4/3 of its live observations; its
-rows draw in place into a small tile. A slice narrower than LANE_WIDTH // 8
+rows draw in place into a row-major tile. A slice narrower than LANE_WIDTH // 8
 rows steps as lanes, side by side, in the stages where its policy has a
 coalescence level: each row is cut where every state selects. A slice that
 would run past those stages (finite-optimal's settled stages 1..n - K + 1) is
@@ -42,13 +42,13 @@ from .sequence import longest_alternating
 MAX_CHUNK = 8192
 #: Observations stored at once: the size of a slice, unless one step is wider.
 CHUNK_TARGET_ELEMENTS = 4_000_000
-#: Observations in the row-major tile that fills a slice if it holds at least
-#: TILE_MIN_ROWS rows, a 64-byte line of a step. ns per element, columns against
-#: tile drawn in place, best of 31 in each of two runs on a shared 2-core Xeon:
-#: 20.0-23.9 and 9.2-9.7 at 4096 x 719, 18.5-21.4 and 8.5-10.0 at 1024 x 3900,
-#: 9.7-10.2 and 9.7 at 200 x 10000 (a tie: rows x steps, all rows live).
+#: Observations in the row-major tile that fills every slice, or one row of a
+#: slice whose steps are more. ns per element, columns against tile drawn in
+#: place, best of 31 in each of two runs on a shared 2-core Xeon: 20.0-23.9 and
+#: 9.2-9.7 at 4096 x 719, 18.5-21.4 and 8.5-10.0 at 1024 x 3900 (rows x steps,
+#: all rows live); in each of three: 8.3-8.8 and 6.9-7.4 at 200 x 10000, and
+#: 9.8-10.8 and 9.3-10.0 at 50 x 40000, a tile of one row.
 TILE_ELEMENTS = 2**16
-TILE_MIN_ROWS = 8
 #: Lanes stepped at once. A slice narrower than LANE_WIDTH // 8 rows steps as
 #: lanes if its policy has a coalescence level. ns per observation to step a
 #: slice, loop against lanes, median of 15 on a shared 2-core Xeon: 161 and 16.8
@@ -156,10 +156,11 @@ def replicate_rng(
     mixes it, and the draws equal those of Philox(key=[seed, rep]) from the
     all-zero counter. Without spent, the call returns a new Generator, its
     counter passed as words. Given spent, a Generator that an earlier call
-    returned and that nothing will draw from again, it re-keys spent in place
-    through Philox's state setter, about a third of the cost of a new one,
-    and returns it; its seed source then reads (seed, rep). Any other spent
-    raises ValueError and is left as it was.
+    returned and that nothing will draw from again, as every runner passes the
+    stream of a row drawn to its end, it re-keys spent in place through
+    Philox's state setter, about a third of the cost of a new one, and returns
+    it; its seed source then reads (seed, rep). Any other spent raises
+    ValueError and is left as it was.
     """
     if spent is not None:
         key = spent.bit_generator._seed_seq
@@ -182,7 +183,7 @@ def replicate_rng(
 def sample_horizon(rng: np.random.Generator, rho: float) -> int:
     """Draw N with P(N=k) = rho^(k-1)*(1-rho), k >= 1, by exact inversion."""
     u = 1.0 - rng.random()  # uniform on (0, 1]; avoids log(0)
-    return max(1, 1 + math.floor(math.log(u) / math.log(rho)))
+    return 1 + math.floor(math.log(u) / math.log(rho))
 
 
 def _aggregate(counts: np.ndarray) -> RunResult:
@@ -231,52 +232,42 @@ def _step_lanes(policy, view, X, lengths, segments: int, t0: int) -> np.ndarray:
     return tally.sum(0)
 
 
-def _fill(X, lengths: list, t0: int, rngs, spent: list | None) -> list:
-    """Fill slice X (steps x rows, from step t0) with its rows' next draws,
-    zeros past their ends; returns the streams of the rows that outlive it.
-    The stream of each row that ends in X is appended to spent, unless it is
-    None, as soon as the row is drawn, so that a later row of X may re-key it.
+def _fill(X, lengths: list, t0: int, rngs, spent: list) -> list:
+    """Fill slice X (steps x rows, from step t0) with the next draws of the
+    rows whose streams rngs yields in order, zeros past their ends; returns the
+    streams of the rows that outlive X. A row drawn to its end hands its stream
+    to spent at once, so that a later row of X may re-key it.
 
-    Rows draw in place into a row-major tile, copied into X a block of
-    columns at a time and zeroed first if a row of the block ends in X;
-    without a tile, each row's draws are copied into its strided column.
+    Rows draw in place into a row-major tile of TILE_ELEMENTS // steps rows, at
+    least one, copied into X a block of columns at a time and zeroed first if a
+    row of the block ends in X.
     """
     T, w = X.shape
-    t1 = t0 + T
-    b = TILE_ELEMENTS // T  # rows per tile
-    tile = np.empty((min(b, w), T)) if b >= TILE_MIN_ROWS else None
-    b = w if tile is None else len(tile)  # rows per block of columns
-    running = []
+    t1, rngs = t0 + T, iter(rngs)
+    tile = np.empty((max(1, min(w, TILE_ELEMENTS // T)), T))
+    b, running = len(tile), []
     for p0 in range(0, w, b):
-        block = X[:, p0 : p0 + b].T  # without a tile, filled in place
-        rows = block if tile is None else tile[: len(block)]
-        if tile is not None and lengths[p0 + len(block) - 1] < t1:
+        block = X[:, p0 : p0 + b].T
+        rows = tile[: len(block)]
+        if lengths[p0 + len(block) - 1] < t1:
             rows[:] = 0.0
         for j, (h, rng) in enumerate(zip(lengths[p0 : p0 + b], rngs)):
-            if tile is None:  # a strided column of X
-                rows[j, : h - t0] = rng.random(min(h, t1) - t0)
-            else:
-                rng.random(out=rows[j, : h - t0])
-            if h > t1:
-                running.append(rng)
-            elif spent is not None:
-                spent.append(rng)
-        if tile is not None:
-            block[:] = rows
+            rng.random(out=rows[j, : h - t0])
+            (running if h > t1 else spent).append(rng)
+        block[:] = rows
     return running
 
 
-def _simulate_batch(
-    policy: Policy, lengths: list, stream, spent: list | None = None
-) -> np.ndarray:
+def _simulate_batch(policy: Policy, lengths: list, streams, spent: list) -> np.ndarray:
     """Run rows of non-increasing lengths through the policy; returns counts.
 
-    stream(p) is row p's Generator at its first observation; a row that runs
-    past a slice keeps it for the next, and a row drawn to its end hands it to
-    spent, if given. A slice steps its w live rows alone; it ends where a
-    quarter of them have ended, so it holds at most 4/3 of its live
-    observations, or at CHUNK_TARGET_ELEMENTS unless one step is wider, or, if
-    it steps as lanes, at the policy's coalescence_until.
+    streams yields the rows' Generators in row order, each at its row's first
+    observation. A row keeps its stream from slice to slice, and once drawn to
+    its end hands it to spent for the runner to re-key. Each slice fills through
+    _fill's tile and steps its w live rows alone; it ends where a quarter of
+    them have ended, so it holds at most 4/3 of its live observations, or at
+    CHUNK_TARGET_ELEMENTS unless one step is wider, or, if it steps as lanes, at
+    the policy's coalescence_until.
 
     A slice stepped one observation at a time passes active=None while all
     its rows are live; from the step where the first of them has ended, one
@@ -284,9 +275,8 @@ def _simulate_batch(
     as rows end. So every call sees a row live exactly while i is at most its
     length, and dead rows neither select nor change state.
     """
-    held, t0, w = [], 0, len(lengths)
-    batch = policy.new_batch(w)
-    counts = np.zeros(w, dtype=np.int64)
+    t0, w = 0, len(lengths)
+    batch, counts = policy.new_batch(w), np.zeros(w, dtype=np.int64)
     level, until = policy.coalescence_level, policy.coalescence_until
     while w:
         t1 = min(lengths[w - 1 - w // 4], t0 + max(1, CHUNK_TARGET_ELEMENTS // w))
@@ -298,8 +288,7 @@ def _simulate_batch(
         if segments >= 2:
             t1 = t2  # the later stages go to the next slice
         X = mapped_zeros((t1 - t0, w))
-        rngs = iter(held) if t0 else map(stream, range(w))
-        running = _fill(X, lengths, t0, rngs, spent)
+        running = _fill(X, lengths, t0, streams, spent)
         view = {key: v[:w] for key, v in batch.items()}
         if segments >= 2:
             counts[:w] += _step_lanes(policy, view, X, lengths[:w], segments, t0)
@@ -314,7 +303,7 @@ def _simulate_batch(
                         active[k] = False
                 tally += policy.step_batch(view, i, x, active)
         X = x = None  # unmapped before the next slice is mapped
-        held, t0, w = running, t1, len(running)
+        streams, t0, w = running, t1, len(running)
     return counts
 
 
@@ -326,13 +315,11 @@ def run_fixed_horizon(cfg: SimulationConfig) -> RunResult:
     chunk = max(1, min(MAX_CHUNK, CHUNK_TARGET_ELEMENTS // cfg.n))
     spent = []  # the Generators of rows drawn to their end, to re-key
     for lo in range(0, cfg.reps, chunk):
-        rows = min(chunk, cfg.reps - lo)
-        counts[lo : lo + rows] = _simulate_batch(
+        reps = range(lo, cfg.reps)[:chunk]
+        counts[lo : lo + len(reps)] = _simulate_batch(
             cfg.policy,
-            [cfg.n] * rows,
-            lambda p: replicate_rng(
-                cfg.seed, lo + p, spent.pop() if spent else None
-            ),
+            [cfg.n] * len(reps),
+            (replicate_rng(cfg.seed, r, spent.pop() if spent else None) for r in reps),
             spent,
         )
     return _aggregate(counts)
@@ -342,17 +329,22 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
     """Evaluate cfg.policy on a geometric-size sample per replicate.
 
     Each replicate draws its horizon from its own stream, then that many
-    observations from the same stream once the horizons are sorted.
+    observations from the same stream once the horizons are sorted. A chunk
+    builds its streams by re-keying those of the last chunk, all spent.
     """
     if cfg.rho is None:
         raise ValueError("run_geometric_horizon needs a geometric-horizon config")
     counts = np.empty(cfg.reps, dtype=np.int64)
+    spent = []  # the Generators of rows drawn to their end, to re-key
     for lo in range(0, cfg.reps, MAX_CHUNK):
-        rngs = [replicate_rng(cfg.seed, r) for r in range(lo, cfg.reps)[:MAX_CHUNK]]
+        reps = range(lo, cfg.reps)[:MAX_CHUNK]
+        rngs = [
+            replicate_rng(cfg.seed, r, spent.pop() if spent else None) for r in reps
+        ]
         lengths = np.array([sample_horizon(rng, cfg.rho) for rng in rngs])
         order = np.argsort(-lengths, kind="stable")
         counts[lo + order] = _simulate_batch(
-            cfg.policy, lengths[order].tolist(), lambda p: rngs[order[p]]
+            cfg.policy, lengths[order].tolist(), (rngs[p] for p in order), spent
         )
     return _aggregate(counts)
 

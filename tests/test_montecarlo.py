@@ -337,6 +337,10 @@ def test_rekey_refuses_streams_it_did_not_build():
         # offline rows beyond the slice budget, and within it
         (("offline", 1000, 6), {"CHUNK_TARGET_ELEMENTS": 128}, 1),
         (("offline", 20, 40), {}, 1),
+        # geometric rows draw their horizons before any steps: a chunk re-keys
+        # the last one's Generators, so only the first chunk builds them
+        (("geometric", 0.9, 23), {"MAX_CHUNK": 5}, 5),
+        (("geometric", 0.9, 23), {"MAX_CHUNK": 5, "CHUNK_TARGET_ELEMENTS": 10}, 5),
     ],
 )
 def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
@@ -344,12 +348,17 @@ def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
     seed = 2**63 + 11
     if name == "finite-optimal":
         policy = FiniteOptimalPolicy(solve_finite(n, 101 if n > 100 else 2001))
+    elif name == "geometric":
+        policy, rho = GeometricOptimalPolicy(n), n
     else:
         policy = {"greedy": GREEDY, "timid": TIMID, "offline": None}[name]
 
     def counts():
         if policy is None:
             return run_offline(n, reps, seed).per_rep_counts
+        if name == "geometric":
+            cfg = SimulationConfig(reps=reps, seed=seed, policy=policy, rho=rho)
+            return run_geometric_horizon(cfg).per_rep_counts
         cfg = SimulationConfig(reps=reps, seed=seed, policy=policy, n=n)
         return run_fixed_horizon(cfg).per_rep_counts
 
@@ -361,20 +370,24 @@ def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
         montecarlo, "replicate_rng", lambda seed, rep, spent=None: original(seed, rep)
     )
     fresh = counts()
-    running, calls = [], []
+    running, calls, outlived = [], [], []
 
     def recording_fill(X, lengths, t0, rngs, spent):
         running[:] = fill(X, lengths, t0, rngs, spent)
+        outlived.append(bool(running))
         return running
 
     def checked_rekey(seed, rep, spent=None):
         calls.append(spent is None)
         if spent is not None:
-            # never a stream a live row holds: its row has drawn all n values
+            # never a stream a live row holds: its row has drawn all its values
             assert not any(spent is rng for rng in running)
             key = spent.bit_generator._seed_seq
+            words = n  # one word per double
+            if name == "geometric":  # the horizon draw, then that many doubles
+                words = 1 + sample_horizon(original(key.seed, key.rep), rho)
             ended = original(key.seed, key.rep).bit_generator
-            ended.random_raw(n)  # one word per double
+            ended.random_raw(words)
             np.testing.assert_equal(spent.bit_generator.state, ended.state)
         return original(seed, rep, spent)
 
@@ -382,6 +395,8 @@ def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
     monkeypatch.setattr(montecarlo, "replicate_rng", checked_rekey)
     assert np.array_equal(counts(), fresh)
     assert len(calls) == reps and sum(calls) == built
+    if name == "geometric":  # ragged rows outlive the slices they start in
+        assert any(outlived)
 
 
 def test_result_carries_its_counts():
@@ -513,7 +528,10 @@ def test_ragged_slices_hold_at_most_four_thirds_of_their_live_cells(
     budget = montecarlo.CHUNK_TARGET_ELEMENTS
     mapped = record_mappings(monkeypatch)
     montecarlo._simulate_batch(
-        GeometricOptimalPolicy(rho), lengths, lambda p: replicate_rng(seed, p)
+        GeometricOptimalPolicy(rho),
+        lengths,
+        (replicate_rng(seed, p) for p in range(rows)),
+        [],
     )
     horizons, t0, held = np.array(lengths), 0, 0
     for steps, width in mapped:
@@ -592,7 +610,7 @@ def test_finite_optimal_cuts_its_settled_stages_only_for_lanes(
 
     def run():
         return montecarlo._simulate_batch(
-            policy, [n] * reps, lambda p: replicate_rng(42, p)
+            policy, [n] * reps, (replicate_rng(42, p) for p in range(reps)), []
         )
 
     unpatched = run()

@@ -104,7 +104,7 @@ def batch_counts(policy, X, lengths=None):
 
     counts = np.empty(rows, dtype=np.int64)
     counts[order] = montecarlo._simulate_batch(
-        policy, lengths[order].tolist(), lambda p: Row(X[order[p]])
+        policy, lengths[order].tolist(), (Row(X[r]) for r in order), []
     )
     return counts
 
@@ -291,8 +291,9 @@ def test_batch_path_matches_scalar_path(
         # 4096 columns in blocks of TILE_ELEMENTS // steps rows: the last is short
         (4096, 24, 100, {"tiled", "short last block"}),
         (1000, 40, None, {"tiled"}),
-        # slices too long for TILE_MIN_ROWS tile rows are filled in place
-        (37, 40, 50, {"tiled", "short last block", "in place"}),
+        # slices of 9 and 10 steps, the second longer than the tile, fill
+        # through a tile of one row
+        (37, 40, 9, {"tiled", "short last block", "one-row tile"}),
     ],
 )
 def test_tiled_fill_stores_each_rows_draws_then_zeros(
@@ -320,17 +321,16 @@ def test_tiled_fill_stores_each_rows_draws_then_zeros(
     seen = set()
     for t0, S in slices:
         steps, width = S.shape
-        b = montecarlo.TILE_ELEMENTS // steps
-        tiled = b >= montecarlo.TILE_MIN_ROWS
-        seen.add("tiled" if tiled else "in place")
-        if tiled and width % b and width > b:
+        b = max(1, min(width, montecarlo.TILE_ELEMENTS // steps))
+        seen.add("tiled" if b > 1 else "one-row tile")
+        if width % b and width > b:
             seen.add("short last block")
         # column p holds row order[p]'s draws of these steps, then zeros
         for p, r in enumerate(order[:width]):
             m = min(lengths[r] - t0, steps)
             assert np.array_equal(S[:m, p], X[r, t0 : t0 + m])
             assert not S[m:, p].any()
-            if tiled and m < steps:
+            if m < steps:
                 seen.add("zeroed tail")
     assert seen == kinds | {"zeroed tail"}
 
