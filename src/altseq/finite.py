@@ -112,16 +112,16 @@ def solve_finite(n: int, grid_size: int = DEFAULT_GRID) -> FiniteSolution:
     n = check_horizon(n)
     check_table_budget(n, grid_size)
     ys = _bellman.uniform_grid(grid_size)
-    # a lazy anonymous map: resident only in the rows written, never in huge pages
+    # a lazy anonymous map, never in huge pages, that backs the table for the
+    # solution's life: only the k rows written are resident, the rest of its n
+    # rows is address space reserved, at most 160 MB under the table budget
     rows = np.frombuffer(mmap.mmap(-1, 8 * n * grid_size)).reshape(n, grid_size)
     for k, (_, f, settled) in enumerate(_sweep(n, ys), start=1):
         rows[n - k] = f  # stage n - k + 1
         if settled:
             break
-    threshold_table = _bellman.mapped_zeros((k, grid_size))
-    threshold_table[:] = rows[n - k :]
-    threshold_table.setflags(write=False)
-    return FiniteSolution(n=n, ys=ys, threshold_table=threshold_table)
+    rows.setflags(write=False)
+    return FiniteSolution(n=n, ys=ys, threshold_table=rows[n - k :])
 
 
 def optimal_expected(n: int, grid_size: int = DEFAULT_GRID) -> float:

@@ -15,12 +15,13 @@ A chunk of replicates, its rows sorted longest first, is stepped one slice of
 steps at a time: a plain steps x rows block with one column per row still
 live, cut at CHUNK_TARGET_ELEMENTS observations or where a quarter of its
 rows have ended, so a block holds at most 4/3 of its live observations; its
-rows draw in place into a row-major tile. A slice narrower than LANE_WIDTH // 8
-rows steps as lanes, side by side, in the stages where its policy has a
-coalescence level: each row is cut where every state selects. A slice that
-would run past those stages (finite-optimal's settled stages 1..n - K + 1) is
-cut where they end if they step as lanes; the stages after them step one at a
-time.
+rows draw in place into a row-major tile, or straight into a slice one row
+wide. A slice narrower than LANE_WIDTH // 8 rows steps as lanes, side by side,
+in the stages where its policy has a coalescence level: each row is cut where
+every state selects. A slice that would run past those stages (finite-optimal's
+settled stages 1..n - K + 1) is cut where they end if they step as lanes; the
+stages after them step one at a time. An offline row longer than TILE_ELEMENTS
+is drawn one piece at a time, its scan's state carried from piece to piece.
 """
 
 from __future__ import annotations
@@ -36,18 +37,19 @@ from ._bellman import mapped_zeros
 from .geometric import check_rho
 from .finite import check_horizon
 from .policies import ConcatenatedPolicy, FiniteOptimalPolicy, Policy
-from .sequence import longest_alternating
+from .sequence import _count_runs, longest_alternating
 
 #: Upper bound on the replicates of a chunk, and so on the streams held at once.
 MAX_CHUNK = 8192
 #: Observations stored at once: the size of a slice, unless one step is wider.
 CHUNK_TARGET_ELEMENTS = 4_000_000
-#: Observations in the row-major tile that fills every slice, or one row of a
-#: slice whose steps are more. ns per element, columns against tile drawn in
-#: place, best of 31 in each of two runs on a shared 2-core Xeon: 20.0-23.9 and
-#: 9.2-9.7 at 4096 x 719, 18.5-21.4 and 8.5-10.0 at 1024 x 3900 (rows x steps,
-#: all rows live); in each of three: 8.3-8.8 and 6.9-7.4 at 200 x 10000, and
-#: 9.8-10.8 and 9.3-10.0 at 50 x 40000, a tile of one row.
+#: Observations in the tile that fills a slice over one row wide, or one row of
+#: a slice whose steps are more, and in a piece of a longer offline row. ns per
+#: element, columns against tile drawn in place, best of 31 in each of two runs
+#: on a shared 2-core Xeon: 20.0-23.9 and 9.2-9.7 at 4096 x 719, 18.5-21.4 and
+#: 8.5-10.0 at 1024 x 3900 (rows x steps, all rows live); in each of three:
+#: 8.3-8.8 and 6.9-7.4 at 200 x 10000, and 9.8-10.8 and 9.3-10.0 at 50 x 40000,
+#: a tile of one row.
 TILE_ELEMENTS = 2**16
 #: Lanes stepped at once. A slice narrower than LANE_WIDTH // 8 rows steps as
 #: lanes if its policy has a coalescence level. ns per observation to step a
@@ -240,11 +242,12 @@ def _fill(X, lengths: list, t0: int, rngs, spent: list) -> list:
 
     Rows draw in place into a row-major tile of TILE_ELEMENTS // steps rows, at
     least one, copied into X a block of columns at a time and zeroed first if a
-    row of the block ends in X.
+    row of the block ends in X. A slice one row wide is its own tile, X.T, which
+    is contiguous: numpy skips copying it onto itself.
     """
     T, w = X.shape
     t1, rngs = t0 + T, iter(rngs)
-    tile = np.empty((max(1, min(w, TILE_ELEMENTS // T)), T))
+    tile = X.T if w == 1 else np.empty((max(1, min(w, TILE_ELEMENTS // T)), T))
     b, running = len(tile), []
     for p0 in range(0, w, b):
         block = X[:, p0 : p0 + b].T
@@ -350,26 +353,22 @@ def run_geometric_horizon(cfg: SimulationConfig) -> RunResult:
 
 
 def _offline_count(rng, n: int) -> int:
-    """The offline statistic of rng's next n draws, CHUNK_TARGET_ELEMENTS at a time.
+    """The offline statistic of rng's next n draws, TILE_ELEMENTS at a time.
 
-    A row within the budget is scanned in one call. Otherwise each slice is
-    scanned after the previous slice's last draw, the scan's kept value, and
-    negated in place where the count so far is even: the scan then wants a
-    fall. A float64 memoryview yields plain floats, read in place: no copy.
+    A row of at most TILE_ELEMENTS is drawn and scanned in one call: a float64
+    memoryview yields plain floats, read in place, no copy. A longer row draws
+    each piece into the tail of one buffer whose head holds the last piece's
+    last draw, and the scan's (count, last_rose) carries from piece to piece.
     """
-    if n <= CHUNK_TARGET_ELEMENTS:
+    if n <= TILE_ELEMENTS:
         return longest_alternating(memoryview(rng.random(n)))
-    buf = mapped_zeros(CHUNK_TARGET_ELEMENTS + 1)
-    count = 1
-    for lo in range(0, n, CHUNK_TARGET_ELEMENTS):
-        s = buf[: min(CHUNK_TARGET_ELEMENTS, n - lo) + 1]
-        rng.random(out=s[1:])
-        s[0] = s[1] if lo == 0 else last  # a tie: the first slice scans as is
-        last = s[-1]
-        if count % 2 == 0:
-            np.negative(s, out=s)
-        count += longest_alternating(memoryview(s)) - 1
-    return count
+    buf, state, head = np.empty(TILE_ELEMENTS + 1), (1, False), 1
+    for lo in range(0, n, TILE_ELEMENTS):
+        m = min(TILE_ELEMENTS, n - lo)
+        rng.random(out=buf[1 : m + 1])
+        state = _count_runs(buf[head : m + 1], *state)
+        buf[0], head = buf[m], 0  # the next piece starts with this one's last draw
+    return state[0]
 
 
 def run_offline(n: int, reps: int, seed: int) -> RunResult:

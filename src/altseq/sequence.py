@@ -56,7 +56,7 @@ def longest_alternating(values: Sequence[float]) -> int:
     if len(values) == 0:
         return 0
     if len(values) >= SCAN_SWITCH:
-        return _count_runs(np.asarray(values))
+        return _count_runs(np.asarray(values))[0]
     count, kept, rising = 1, values[0], True
     for v in values:
         if v > kept if rising else v < kept:
@@ -66,10 +66,11 @@ def longest_alternating(values: Sequence[float]) -> int:
     return count
 
 
-def _count_runs(x: np.ndarray) -> int:
-    """1 + runs of same-direction strict moves in ``x``, less 1 if it falls first."""
-    # the scan starts wanting a rise, as if its last move had fallen
-    count, last_rose = 1, False
+def _count_runs(x: np.ndarray, count=1, last_rose=False) -> tuple[int, bool]:
+    """The scan's (count, last_rose) after x's moves, from the state given: from
+    the start, 1 + the runs of same-direction strict moves, less 1 if x falls
+    first. Chained over a row's pieces, each after the first starting with the
+    last one's last value, it gives the whole row's state."""
     for start in range(0, len(x) - 1, SCAN_WINDOW):
         b = x[start + 1 : start + 1 + SCAN_WINDOW]
         a = x[start : start + len(b)]
@@ -80,7 +81,7 @@ def _count_runs(x: np.ndarray) -> int:
                 np.count_nonzero(rose[1:] != rose[:-1])
             )
             last_rose = bool(rose[-1])
-    return count
+    return count, last_rose
 
 
 def longest_alternating_oracle(values: Sequence[float]) -> int:

@@ -560,6 +560,25 @@ def test_a_replicate_longer_than_the_budget_is_sliced(monkeypatch):
     assert np.array_equal(counts, unpatched)
 
 
+def test_a_one_row_slice_is_its_own_tile():
+    # One replicate of a million steps fills one slice one row wide: it draws
+    # straight into the slice, which tracemalloc does not see; a tile of its
+    # own would show as 8n bytes.
+    n = 1_000_000
+    cfg = SimulationConfig(reps=1, seed=3, policy=TIMID, n=n)
+    run_fixed_horizon(cfg)  # warm-up: the first run's imports and caches
+    tracemalloc.start()
+    try:
+        counts = run_fixed_horizon(cfg).per_rep_counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * montecarlo.TILE_ELEMENTS
+    # two replicates share one slice two rows wide, filled through a tile
+    wide = SimulationConfig(reps=2, seed=3, policy=TIMID, n=n)
+    assert counts[0] == run_fixed_horizon(wide).per_rep_counts[0]
+
+
 def test_one_long_row_steps_as_lanes():
     # Cut at its renewal observations, one row of 400,000 observations steps
     # as thousands of lanes at once, not one step_batch call per observation.
@@ -687,7 +706,7 @@ def test_offline_rows_drawn_in_slices_count_as_whole_rows(budget):
     for n in [budget - 1, budget, budget + 1, 2 * budget, 3 * budget + 2, 1000]:
         if n >= 1:
             whole = run_offline(n, reps=20, seed=5).per_rep_counts
-            with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+            with mock.patch.object(montecarlo, "TILE_ELEMENTS", budget):
                 sliced = run_offline(n, reps=20, seed=5).per_rep_counts
             assert np.array_equal(sliced, whole), n
 
@@ -713,18 +732,18 @@ def test_offline_slices_carry_ties_nan_and_signed_zeros():
     for _ in range(300):
         row = gen.choice(values, int(gen.integers(1, 400)))
         budget = int(gen.integers(1, 301))
-        with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+        with mock.patch.object(montecarlo, "TILE_ELEMENTS", budget):
             count = montecarlo._offline_count(_Replay(row), len(row))
         assert count == longest_alternating(row), (row.tolist(), budget)
 
 
 def test_offline_rows_beyond_the_budget_are_never_drawn_whole():
-    # the slice lives in a mapping of its own, which tracemalloc does not see;
-    # a row drawn whole would show as 8n bytes
+    # tracemalloc sees the one piece buffer, 8 * (budget + 1) bytes; a row
+    # drawn whole would show as 8n bytes
     budget, n = 10_000, 1_000_000
     tracemalloc.start()
     try:
-        with mock.patch.object(montecarlo, "CHUNK_TARGET_ELEMENTS", budget):
+        with mock.patch.object(montecarlo, "TILE_ELEMENTS", budget):
             run_offline(n, reps=2, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:

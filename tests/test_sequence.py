@@ -126,6 +126,28 @@ def test_both_paths_count_rows_holding_nan_alike(seed, length, nans, window):
     assert longest_alternating(xs) == scan(xs, 0, window) == scan(xs, math.inf)
 
 
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 3 * sequence.SCAN_SWITCH),
+    special=st.booleans(),
+    cuts=st.lists(st.integers(1, 3 * sequence.SCAN_SWITCH), max_size=8),
+    window=st.sampled_from([1, 2, 7, sequence.SCAN_WINDOW]),
+)
+def test_scan_state_carries_across_the_pieces_of_a_row(
+    seed, length, special, cuts, window
+):
+    # every piece after the first starts with the value just before it, so
+    # the pieces hold each neighbouring pair of the row exactly once
+    xs = draws(seed, length, special)
+    ends = sorted({c for c in cuts if c < length}) + [length]
+    state = (1, False)
+    with mock.patch.object(sequence, "SCAN_WINDOW", window):
+        for lo, hi in zip([1] + ends, ends):
+            state = sequence._count_runs(xs[lo - 1 : hi], *state)
+    assert state[0] == longest_alternating(xs)
+
+
 def test_nan_splits_a_row_on_both_paths():
     assert longest_alternating([0.1, math.nan, 0.5]) == 1
     assert longest_alternating_oracle([0.1, math.nan, 0.5]) == 2
@@ -135,7 +157,7 @@ def test_nan_splits_a_row_on_both_paths():
 
 def test_rows_at_the_switch_take_the_numpy_path():
     xs = seeded_rng(9).random(sequence.SCAN_SWITCH)
-    with mock.patch.object(sequence, "_count_runs", return_value=-1):
+    with mock.patch.object(sequence, "_count_runs", return_value=(-1, False)):
         assert longest_alternating(xs[:-1]) >= 1
         assert longest_alternating(memoryview(xs)) == -1
 
