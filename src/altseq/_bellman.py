@@ -21,6 +21,7 @@ import numpy as np
 # Defaults and constants shared by the solvers and the command line.
 DEFAULT_GRID = 2001
 DEFAULT_TOL = 1e-10
+MAX_CELLS = 20_000_000  # points in a grid, cells in a table: 160 MB of float64
 SQRT2 = math.sqrt(2.0)
 
 
@@ -52,7 +53,9 @@ def check_grid(grid_size: int) -> int:
 
 
 def uniform_grid(grid_size: int) -> np.ndarray:
-    ys = np.linspace(0.0, 1.0, check_grid(grid_size))
+    if check_grid(grid_size) > MAX_CELLS:  # refused before any array is built
+        raise ValueError(f"grid_size must be <= {MAX_CELLS}, got {grid_size}")
+    ys = np.linspace(0.0, 1.0, grid_size)
     ys.setflags(write=False)  # shared by every solution solved on it
     return ys
 

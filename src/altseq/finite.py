@@ -37,8 +37,8 @@ def check_horizon(n: int) -> int:
 
 
 def check_table_budget(n: int, grid_size: int) -> None:
-    """Refuse a solve whose (n+1) x grid_size value table exceeds 20M cells."""
-    if (n + 1) * grid_size > 20_000_000:
+    """Refuse a solve whose (n+1) x grid_size value table exceeds MAX_CELLS."""
+    if (n + 1) * grid_size > _bellman.MAX_CELLS:
         raise ValueError(
             f"solution tables for n={n} at grid={grid_size} would be too large; "
             "reduce the horizon or the grid"

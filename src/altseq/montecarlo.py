@@ -236,28 +236,24 @@ def _step_lanes(policy, view, X, lengths, segments: int, t0: int) -> np.ndarray:
 
 def _fill(X, lengths: list, t0: int, rngs, spent: list) -> list:
     """Fill slice X (steps x rows, from step t0) with the next draws of the
-    rows whose streams rngs yields in order, zeros past their ends; returns the
-    streams of the rows that outlive X. A row drawn to its end hands its stream
-    to spent at once, so that a later row of X may re-key it.
+    rows whose streams rngs yields in order; returns the streams of the rows
+    that outlive X. A row drawn to its end hands its stream to spent at once,
+    so that a later row of X may re-key it.
 
     Rows draw in place into a row-major tile of TILE_ELEMENTS // steps rows, at
-    least one, copied into X a block of columns at a time and zeroed first if a
-    row of the block ends in X. A slice one row wide is its own tile, X.T, which
-    is contiguous: numpy skips copying it onto itself.
+    least one, copied into X a block of columns at a time. A slice one row wide
+    is its own tile, X.T, contiguous: numpy skips copying it onto itself.
     """
     T, w = X.shape
     t1, rngs = t0 + T, iter(rngs)
-    tile = X.T if w == 1 else np.empty((max(1, min(w, TILE_ELEMENTS // T)), T))
+    tile = X.T if w == 1 else np.zeros((max(1, min(w, TILE_ELEMENTS // T)), T))
     b, running = len(tile), []
     for p0 in range(0, w, b):
         block = X[:, p0 : p0 + b].T
-        rows = tile[: len(block)]
-        if lengths[p0 + len(block) - 1] < t1:
-            rows[:] = 0.0
         for j, (h, rng) in enumerate(zip(lengths[p0 : p0 + b], rngs)):
-            rng.random(out=rows[j, : h - t0])
+            rng.random(out=tile[j, : h - t0])
             (running if h > t1 else spent).append(rng)
-        block[:] = rows
+        block[:] = tile[: len(block)]
     return running
 
 
@@ -272,11 +268,11 @@ def _simulate_batch(policy: Policy, lengths: list, streams, spent: list) -> np.n
     CHUNK_TARGET_ELEMENTS unless one step is wider, or, if it steps as lanes, at
     the policy's coalescence_until.
 
-    A slice stepped one observation at a time passes active=None while all
-    its rows are live; from the step where the first of them has ended, one
-    boolean mask, True on rows 0..k-1 of the k still live, cleared in place
-    as rows end. So every call sees a row live exactly while i is at most its
-    length, and dead rows neither select nor change state.
+    A cell past a row's end holds what the tile last held, 0.0 or an earlier
+    row's draw, and no reader uses it unmasked: lanes end at their row's end,
+    and a slice stepped one observation at a time passes active=None while all
+    its rows are live, then one mask, True on rows 0..k-1 of the k still live,
+    cleared in place as rows end, so dead rows neither select nor change state.
     """
     t0, w = 0, len(lengths)
     batch, counts = policy.new_batch(w), np.zeros(w, dtype=np.int64)

@@ -92,6 +92,27 @@ def test_finite_thresholds_come_from_the_next_stage(n, grid_size):
         assert np.max(np.abs(sol.threshold_row(i) - reference)) <= 1e-14
 
 
+def test_a_grid_beyond_the_cell_budget_is_refused_before_it_is_built(monkeypatch):
+    class Built(Exception):
+        pass
+
+    built = []
+
+    def linspace(start, stop, num):
+        built.append(num)
+        raise Built  # no grid of millions of points is built here
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    budget = _bellman.MAX_CELLS
+    for size in (budget + 1, 10**8):
+        with pytest.raises(ValueError, match=f"grid_size must be <= {budget}, got"):
+            _bellman.uniform_grid(size)
+    assert built == []
+    with pytest.raises(Built):
+        _bellman.uniform_grid(budget)
+    assert built == [budget]
+
+
 def test_mapped_zeros_are_writable_zeros_of_the_asked_shape():
     for shape in (0, 5, (3, 4), (0, 7)):
         a = _bellman.mapped_zeros(shape)

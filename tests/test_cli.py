@@ -563,6 +563,31 @@ def test_simulate_checks_a_grid_it_does_not_read_without_building_it(monkeypatch
     assert peak < 10**7  # the grid alone would be 160 MB
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometric", "--rho", "0.9"],
+        ["finite", "--n", "5"],
+        ["simulate", "--policy", "finite-optimal", "--n", "5", "--reps", "3"],
+        ["simulate", "--policy", "concat", "--n", "5", "--rho", "0.9", "--reps", "3"],
+        ["compare", "--n", "5", "--reps", "3"],
+    ],
+    ids=lambda argv: "-".join(argv[:3:2]),
+)
+def test_a_grid_beyond_the_budget_exits_2_before_any_array(monkeypatch, capsys, argv):
+    import numpy as np
+
+    import altseq._bellman as bellman
+
+    def build(*args, **kwargs):
+        raise AssertionError("built an array before refusing the grid")
+
+    monkeypatch.setattr(np, "linspace", build)
+    monkeypatch.setattr(bellman, "mapped_zeros", build)
+    assert main([*argv, "--grid", "100000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 #: Runs every solver and runner once, then prints which test-only packages
 #: the process loaded.
 _RUNTIME_PROBE = """

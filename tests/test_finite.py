@@ -20,7 +20,7 @@ from altseq import (
     solve_finite_two_state,
     threshold_at,
 )
-from altseq import _bellman
+from altseq import _bellman, finite
 from altseq.finite import _sweep
 
 SQRT2 = math.sqrt(2.0)
@@ -54,6 +54,13 @@ def test_table_budget_is_checked_before_allocating(monkeypatch):
         solve_finite(1000, grid_size=20_000)
     with pytest.raises(ValueError, match="too large"):
         solve_finite_two_state(1000, grid_size=20_001)
+
+
+def test_table_budget_is_the_shared_cell_budget(monkeypatch):
+    finite.check_table_budget(9, 101)  # 1010 cells
+    monkeypatch.setattr(_bellman, "MAX_CELLS", 1009)
+    with pytest.raises(ValueError, match="too large"):
+        finite.check_table_budget(9, 101)
 
 
 def test_single_observation_is_exact():

@@ -334,8 +334,9 @@ def test_rekey_refuses_streams_it_did_not_build():
         (("timid", 30, 12), {"CHUNK_TARGET_ELEMENTS": 25, "MAX_CHUNK": 3}, 1),
         # finite-optimal's settled stages cut at coalescence_until = 629
         (("finite-optimal", 700, 8), {"MAX_CHUNK": 3}, 3),
-        # offline rows beyond the slice budget, and within it
-        (("offline", 1000, 6), {"CHUNK_TARGET_ELEMENTS": 128}, 1),
+        # offline rows longer than a tile, scanned one piece at a time, and
+        # rows within one
+        (("offline", 1000, 6), {"TILE_ELEMENTS": 128}, 1),
         (("offline", 20, 40), {}, 1),
         # geometric rows draw their horizons before any steps: a chunk re-keys
         # the last one's Generators, so only the first chunk builds them
@@ -391,12 +392,22 @@ def test_rekeyed_runs_match_fresh_streams(monkeypatch, run, patch, built):
             np.testing.assert_equal(spent.bit_generator.state, ended.state)
         return original(seed, rep, spent)
 
+    scan, pieces = montecarlo._count_runs, []
+
+    def counted_scan(piece, *state):
+        pieces.append(len(piece))
+        return scan(piece, *state)
+
     monkeypatch.setattr(montecarlo, "_fill", recording_fill)
     monkeypatch.setattr(montecarlo, "replicate_rng", checked_rekey)
+    monkeypatch.setattr(montecarlo, "_count_runs", counted_scan)
     assert np.array_equal(counts(), fresh)
     assert len(calls) == reps and sum(calls) == built
     if name == "geometric":  # ragged rows outlive the slices they start in
         assert any(outlived)
+    tile = montecarlo.TILE_ELEMENTS  # a row longer than a tile: one scan per piece
+    pieces_per_row = -(-n // tile) if name == "offline" and n > tile else 0
+    assert len(pieces) == reps * pieces_per_row
 
 
 def test_result_carries_its_counts():
@@ -558,6 +569,70 @@ def test_a_replicate_longer_than_the_budget_is_sliced(monkeypatch):
     counts = run_geometric_horizon(cfg).per_rep_counts
     assert mapped == [(1000, 1)] * 5 + [(441, 1)]
     assert np.array_equal(counts, unpatched)
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [
+        *[(name, "rho") for name in ("greedy", "timid", "threshold", "geometric")],
+        ("concat", "rho"),
+        *[(name, "n") for name in ("greedy", "timid", "threshold", "geometric")],
+        ("finite-optimal", "n"),
+    ],
+)
+def test_no_reader_uses_a_cell_past_a_rows_end(monkeypatch, sol_n10, name, horizon):
+    # Every cell past a row's end is overwritten with 1.0, which every rule
+    # selects from every state, or 0.0, which greedy selects from y = 0: the
+    # counts move if a step or a lane cut reads one. Geometric rows at rho 0.999
+    # fill 600-row slices (stepped one observation at a time), then narrower
+    # ones, stepped as lanes where the rule has a level. A fixed-horizon run
+    # has no cell past a row's end, so its rows here stop short of n = 1000:
+    # 500 of them within 20 steps, 100 between 500 and 1000, which reach
+    # finite-optimal's settled-stage lanes (cut at coalescence_until = 929 on
+    # grid 101).
+    policy = {
+        "greedy": GREEDY,
+        "timid": TIMID,
+        "threshold": FixedThresholdPolicy(1.0 - 1.0 / math.sqrt(2.0)),
+        "geometric": GeometricOptimalPolicy(0.999),
+        "concat": ConcatenatedPolicy(sol_n10),
+        "finite-optimal": FiniteOptimalPolicy(solve_finite(1000, 101)),
+    }[name]
+    rng = np.random.default_rng(5)
+    cut = np.r_[rng.integers(1, 21, 500), rng.integers(500, 1001, 100)]
+    cut_short = sorted(cut.tolist(), reverse=True)
+
+    def counts():
+        if horizon == "rho":
+            cfg = SimulationConfig(reps=600, seed=42, policy=policy, rho=0.999)
+            return run_geometric_horizon(cfg).per_rep_counts
+        streams = (replicate_rng(42, p) for p in range(600))
+        return montecarlo._simulate_batch(policy, cut_short, streams, [])
+
+    fill, step_lanes, dead, seen = montecarlo._fill, montecarlo._step_lanes, [], set()
+
+    def filling_dead_cells(X, lengths, t0, rngs, spent):
+        running = fill(X, lengths, t0, rngs, spent)
+        steps, width = X.shape
+        past = np.arange(t0 + 1, t0 + 1 + steps)[:, None] > np.array(lengths[:width])
+        if past.any():
+            X[past] = dead[0]
+            seen.add("wide" if width >= montecarlo.LANE_WIDTH // 8 else "narrow")
+        return running
+
+    def lanes(policy, view, X, lengths, segments, t0):
+        if min(lengths) < t0 + len(X):  # a row ends inside these lanes
+            seen.add("lanes")
+        return step_lanes(policy, view, X, lengths, segments, t0)
+
+    plain = counts()
+    monkeypatch.setattr(montecarlo, "_fill", filling_dead_cells)
+    monkeypatch.setattr(montecarlo, "_step_lanes", lanes)
+    for value in (1.0, 0.0):
+        dead[:] = [value]
+        assert np.array_equal(counts(), plain), value
+    has_level = policy.coalescence_level is not None
+    assert seen == {"wide", "narrow"} | ({"lanes"} if has_level else set())
 
 
 def test_a_one_row_slice_is_its_own_tile():

@@ -296,7 +296,7 @@ def test_batch_path_matches_scalar_path(
         (37, 40, 9, {"tiled", "short last block", "one-row tile"}),
     ],
 )
-def test_tiled_fill_stores_each_rows_draws_then_zeros(
+def test_tiled_fill_stores_each_rows_draws(
     sol_n10, monkeypatch, rows, horizon, tile, kinds
 ):
     rng = seeded_rng(rows)
@@ -325,14 +325,14 @@ def test_tiled_fill_stores_each_rows_draws_then_zeros(
         seen.add("tiled" if b > 1 else "one-row tile")
         if width % b and width > b:
             seen.add("short last block")
-        # column p holds row order[p]'s draws of these steps, then zeros
+        # column p holds row order[p]'s draws of these steps; the cells past
+        # its end are left unspecified (test_montecarlo's dead-cell test)
         for p, r in enumerate(order[:width]):
             m = min(lengths[r] - t0, steps)
             assert np.array_equal(S[:m, p], X[r, t0 : t0 + m])
-            assert not S[m:, p].any()
             if m < steps:
-                seen.add("zeroed tail")
-    assert seen == kinds | {"zeroed tail"}
+                seen.add("row ends inside")
+    assert seen == kinds | {"row ends inside"}
 
 
 def test_coalescence_level_is_one_minus_xi_below_one(sol_n10):
